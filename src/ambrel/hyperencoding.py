@@ -7,6 +7,28 @@ is exactly the common fixed points of three saturation operators
 (refinement, merge, and their floored composite), which is what makes the
 encoding recognizable and the least-upper-bound construction work.
 
+Both saturations are subset sums, so each is computed exactly in one
+pass by a subset-OR (zeta) transform over the bits of an index (Yates
+1937; Björklund, Husfeldt, Kaski and Koivisto, "Fourier meets Möbius",
+STOC 2007).  After the transform, entry ``i`` holds the OR of the input
+over every index ``j`` whose bits are a subset of ``i``'s.
+
+* Refinement: a family ``cand`` refines ``fam`` iff ``fam`` lies inside
+  ``covers(cand)``, the family of sets containing some member of
+  ``cand``.  So the refinement closure at ``(cand, b)`` is the
+  down-closure of the OR of ``masks[fam, b]`` over ``fam`` within
+  ``covers(cand)``: one transform over the family bits, read at
+  ``covers``.
+* Merge: a triple lies in the closure under merging iff it equals the
+  merge of all input triples below it (family and set inclusion, grade
+  order).  If it is the merge of some input triples, each of them is
+  below it, so the merge of all triples below it lies between the two.
+  This needs only a join-semilattice of grades.  A cell index is the
+  family bits followed by the target-set bits, so one transform over
+  the cell index, run once per grade ``g`` over the triples of grade at
+  most ``g``, gives both the union of the cells below and the grades
+  held there.
+
 Everything here is exact and desk-scale: the source space is gated at 3
 points (127 families) and the lattice at 4 elements.
 """
@@ -14,17 +36,20 @@ points (127 families) and the lattice at 4 elements.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import SpaceTooLarge
+from .errors import SpaceMismatch, SpaceTooLarge
 from .fuzzy import LFuzzyAmbRep
-from .hyperspace import FiniteSpace, members, _superset_table
+from .hyperspace import FiniteSpace, _superset_table
 from .lattice import FiniteLattice
 
 MAX_ENCODE_POINTS = 3
 MAX_ENCODE_LATTICE = 4
+
+# _POPCOUNT[m] = number of set bits of the byte m
+_POPCOUNT = np.array([bin(m).count("1") for m in range(256)], dtype=np.intp)
 
 
 class TernaryHyperRelation:
@@ -75,7 +100,7 @@ class TernaryHyperRelation:
                     yield int(fam), int(b), alpha
 
     def triple_count(self) -> int:
-        return int(np.vectorize(lambda m: bin(m).count("1"))(self.masks).sum())
+        return int(_POPCOUNT[self.masks].sum())
 
     def __contains__(self, triple) -> bool:
         fam, b, alpha = triple
@@ -112,7 +137,7 @@ def _gate(source: FiniteSpace, lattice: FiniteLattice) -> None:
 
 
 @lru_cache(maxsize=None)
-def _covers(space: FiniteSpace) -> tuple[int, ...]:
+def _covers(space: FiniteSpace) -> np.ndarray:
     # _covers(X)[fam] = subset mask (over nonempty subsets) of the sets that
     # some member of the family refines (is contained in)
     sup = _superset_table(space)
@@ -121,7 +146,17 @@ def _covers(space: FiniteSpace) -> tuple[int, ...]:
         low = fam & -fam
         rest = fam ^ low
         out[fam] = out[rest] | sup[low.bit_length() - 1]
-    return tuple(out)
+    covers = np.array(out, dtype=np.intp)
+    covers.setflags(write=False)
+    return covers
+
+
+@lru_cache(maxsize=None)
+def _singleton_rows(space: FiniteSpace) -> np.ndarray:
+    # row of the one-member family {a} for a = 1 .. space.full, in order
+    rows = 1 << np.arange(space.full, dtype=np.intp)
+    rows.setflags(write=False)
+    return rows
 
 
 def refinement_hyperspace(space: FiniteSpace, family: int) -> tuple[int, ...]:
@@ -134,51 +169,82 @@ def refinement_hyperspace(space: FiniteSpace, family: int) -> tuple[int, ...]:
         raise SpaceTooLarge("refinement filter enumerates all families; need <= 3 points")
     if not 1 <= family <= (1 << space.full) - 1:
         raise ValueError("family mask out of range (must be nonempty)")
-    covers = _covers(space)
-    return tuple(
-        cand for cand in range(1, 1 << space.full) if family & ~covers[cand] == 0
-    )
+    return tuple(np.flatnonzero(family & ~_covers(space) == 0).tolist())
+
+
+class _GradeTables(NamedTuple):
+    down: np.ndarray  # down[mask] = union of the principal down-sets of the grades in mask
+    join_of: np.ndarray  # join_of[mask] = join of the grades in mask (bottom when empty)
+    below: np.ndarray  # below[g, 0] = down[1 << g]
+    hit: np.ndarray  # hit[g << n | mask] = 1 << g if mask is nonempty and joins to g, else 0
+    hit_row: np.ndarray  # hit_row[g, 0] = g << n
 
 
 @lru_cache(maxsize=None)
-def _refiner_rows(space: FiniteSpace) -> tuple[np.ndarray, ...]:
-    # _refiner_rows(X)[fam] = array of candidate families refining fam
-    covers = _covers(space)
-    n = 1 << space.full
-    rows = [np.zeros(0, dtype=np.intp)] * n
-    for fam in range(1, n):
-        rows[fam] = np.array(
-            [cand for cand in range(1, n) if fam & ~covers[cand] == 0], dtype=np.intp
-        )
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _grade_tables(lattice: FiniteLattice) -> tuple[np.ndarray, np.ndarray]:
-    # DOWN[mask] = union of principal down-sets of the grades in the mask
-    # JOINM[m1, m2] = all pairwise joins between the two masks
+def _grade_tables(lattice: FiniteLattice) -> _GradeTables:
     n = lattice.size
-    size = 1 << n
-    down = np.zeros(size, dtype=np.uint8)
-    for mask in range(size):
-        d = 0
-        for alpha in range(n):
-            if mask >> alpha & 1:
-                for beta in range(n):
-                    if lattice.le(beta, alpha):
-                        d |= 1 << beta
-        down[mask] = d
-    joinm = np.zeros((size, size), dtype=np.uint8)
-    for m1 in range(size):
-        for m2 in range(size):
-            j = 0
-            for a in range(n):
-                if m1 >> a & 1:
-                    for b in range(n):
-                        if m2 >> b & 1:
-                            j |= 1 << lattice.join(a, b)
-            joinm[m1, m2] = j
-    return down, joinm
+    below = [sum(1 << beta for beta in range(n) if lattice.le(beta, alpha)) for alpha in range(n)]
+    down = np.zeros(1 << n, dtype=np.uint8)
+    join_of = np.full(1 << n, lattice.bottom, dtype=np.intp)
+    for mask in range(1, 1 << n):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        down[mask] = down[rest] | below[low]
+        join_of[mask] = lattice.join(int(join_of[rest]), low)
+    grades = np.arange(n)[:, None]
+    hit = np.where(join_of == grades, 1 << grades, 0).astype(np.uint8)
+    hit[:, 0] = 0
+    tables = _GradeTables(
+        down, join_of, np.array(below, dtype=np.uint8)[:, None], hit.reshape(-1), grades << n
+    )
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+# -- saturation kernels on mask matrices ------------------------------------------
+#
+# Each kernel takes a mask matrix with zero padding row and column and
+# returns a new one with the same property, so the kernels chain without
+# building a relation for each intermediate.
+
+
+def _zeta_or(a: np.ndarray, bits: range) -> None:
+    """Subset-OR transform of the C-contiguous array ``a``, in place, over
+    the given bits of its flat index: afterwards ``a[i]`` is the OR of the
+    old ``a[j]`` over all ``j`` that agree with ``i`` outside ``bits`` and
+    whose ``bits`` are a subset of ``i``'s."""
+    for k in bits:
+        v = a.reshape(-1, 2, 1 << k)
+        v[:, 1] |= v[:, 0]
+
+
+def _refine(masks: np.ndarray, source: FiniteSpace, lattice: FiniteLattice) -> np.ndarray:
+    down = _grade_tables(lattice).down
+    target_bits = masks.shape[1].bit_length() - 1
+    z = masks.copy()
+    _zeta_or(z, range(target_bits, target_bits + source.full))
+    return down[z[_covers(source)]]
+
+
+def _merge(masks: np.ndarray, lattice: FiniteLattice) -> np.ndarray:
+    g = _grade_tables(lattice)
+    n = lattice.size
+    cells = np.arange(masks.size, dtype=np.uint32)
+    # row k: the grades at most k held at each cell, with the cell index
+    # in the high bits; 0 where the cell holds none of them
+    held = masks.reshape(-1) & g.below
+    z = (held | cells << n) * (held != 0)
+    _zeta_or(z, range(masks.size.bit_length() - 1))
+    kept = g.hit[z & ((1 << n) - 1) | g.hit_row] * (z >> n == cells)
+    return np.bitwise_or.reduce(kept, axis=0).reshape(masks.shape)
+
+
+def _plus(masks: np.ndarray, source: FiniteSpace, lattice: FiniteLattice) -> np.ndarray:
+    m = masks.copy()
+    m[1:, -1] = (1 << lattice.size) - 1
+    m[1:, 1:] |= 1 << lattice.bottom
+    return _merge(_refine(m, source, lattice), lattice)
 
 
 # -- saturation operators -------------------------------------------------------
@@ -186,59 +252,57 @@ def _grade_tables(lattice: FiniteLattice) -> tuple[np.ndarray, np.ndarray]:
 
 def subset_saturate(t: TernaryHyperRelation) -> TernaryHyperRelation:
     """Refinement saturation: spread each triple to every refining family
-    and every smaller grade.  Extensive and idempotent."""
-    down, _ = _grade_tables(t.lattice)
-    rows = _refiner_rows(t.source)
-    out = np.zeros_like(t.masks)
-    fams, bs = np.nonzero(t.masks)
-    for fam, b in zip(fams.tolist(), bs.tolist()):
-        spread = down[t.masks[fam, b]]
-        idx = rows[fam]
-        out[idx, b] |= spread
+    and every smaller grade.  Extensive and idempotent.
+
+    ``out[cand, b]`` is the down-closure of the OR of ``masks[fam, b]``
+    over the families ``fam`` inside ``covers(cand)``; one subset-OR
+    transform over the family bits yields those ORs for every ``cand``
+    at once, exactly.
+    """
+    out = _refine(t.masks, t.source, t.lattice)
     return TernaryHyperRelation(t.source, t.target, t.lattice, out)
 
 
 def sup_saturate(t: TernaryHyperRelation) -> TernaryHyperRelation:
     """Merge saturation: close under (family union, set union, grade join).
 
-    Computed as the fixed point of the binary merge; since all three
-    combiners are associative, commutative and idempotent this equals the
-    closure under merging arbitrary nonempty subsets of triples.
-    Extensive and idempotent.
+    Since all three combiners are associative, commutative and
+    idempotent, the closure holds the merges of every nonempty subset of
+    triples, and a triple is among them iff it is the merge of all the
+    triples below it.  For each cell and grade ``g`` one subset-OR
+    transform over the cell index collects the union of the cells below
+    that hold a grade at most ``g``, and the grades at most ``g`` they
+    hold; the triple is kept iff that union is the cell itself and those
+    grades join to ``g``.  Extensive and idempotent.
     """
-    _, joinm = _grade_tables(t.lattice)
-    cur = t.masks.copy()
-    while True:
-        fams, bs = np.nonzero(cur)
-        if len(fams) == 0:
-            break
-        mk = cur[fams, bs]
-        ff = np.bitwise_or.outer(fams, fams).ravel()
-        bb = np.bitwise_or.outer(bs, bs).ravel()
-        jj = joinm[mk[:, None], mk[None, :]].ravel()
-        nxt = cur.copy()
-        np.bitwise_or.at(nxt, (ff, bb), jj)
-        if np.array_equal(nxt, cur):
-            break
-        cur = nxt
-    return TernaryHyperRelation(t.source, t.target, t.lattice, cur)
-
-
-def _floored(t: TernaryHyperRelation) -> TernaryHyperRelation:
-    m = t.masks.copy()
-    full_grade_mask = (1 << t.lattice.size) - 1
-    m[1:, t.target.full] |= full_grade_mask
-    m[1:, 1:] |= 1 << t.lattice.bottom
-    return TernaryHyperRelation(t.source, t.target, t.lattice, m)
+    return TernaryHyperRelation(t.source, t.target, t.lattice, _merge(t.masks, t.lattice))
 
 
 def plus(t: TernaryHyperRelation) -> TernaryHyperRelation:
     """Floor, refine, then merge; the composite saturation whose fixed
-    points containing singleton data are exactly the encoded images."""
-    return sup_saturate(subset_saturate(_floored(t)))
+    points containing singleton data are exactly the encoded images.
+
+    The floor adds every grade on the full target set and the bottom
+    grade on every cell."""
+    out = _plus(t.masks, t.source, t.lattice)
+    return TernaryHyperRelation(t.source, t.target, t.lattice, out)
 
 
 # -- the encoding ---------------------------------------------------------------
+
+
+def _encode(rep: LFuzzyAmbRep) -> np.ndarray:
+    lat = rep.lattice
+    down = _grade_tables(lat).down
+    # grade of a family = join over its members; the families in
+    # [2**k, 2**(k+1)) join member row k onto the families below 2**k
+    grade_of = np.empty((1 << rep.source.full, rep.target.full), dtype=np.intp)
+    grade_of[0] = lat.bottom
+    for k in range(rep.source.full):
+        grade_of[1 << k : 2 << k] = lat.join_table[grade_of[: 1 << k], rep.grades[k]]
+    masks = np.zeros((1 << rep.source.full, rep.target.full + 1), dtype=np.uint8)
+    masks[1:, 1:] = down[1 << grade_of[1:]]
+    return masks
 
 
 def encode(rep: LFuzzyAmbRep) -> TernaryHyperRelation:
@@ -248,60 +312,48 @@ def encode(rep: LFuzzyAmbRep) -> TernaryHyperRelation:
     of the grades ``rep(a, b)`` over members ``a`` of the family.
     """
     _gate(rep.source, rep.lattice)
-    lat = rep.lattice
-    down, _ = _grade_tables(lat)
-    n = 1 << rep.source.full
-    masks = np.zeros((n, rep.target.full + 1), dtype=np.uint8)
-    # grade of a family = join over members; build up by lowest set bit
-    grade_of = np.zeros((n, rep.target.full + 1), dtype=np.intp)
-    for fam in range(1, n):
-        low = fam & -fam
-        rest = fam ^ low
-        a = low.bit_length()  # subset mask of the member
-        for b in rep.target.subsets():
-            g = rep.grade(a, b)
-            if rest:
-                g = lat.join(g, int(grade_of[rest, b]))
-            grade_of[fam, b] = g
-            masks[fam, b] = down[1 << g]
-    return TernaryHyperRelation(rep.source, rep.target, lat, masks)
+    return TernaryHyperRelation(rep.source, rep.target, rep.lattice, _encode(rep))
+
+
+def _singletons(masks: np.ndarray, source: FiniteSpace) -> np.ndarray:
+    rows = _singleton_rows(source)
+    m = np.zeros_like(masks)
+    m[rows] = masks[rows]
+    return m
 
 
 def singleton_part(t: TernaryHyperRelation) -> TernaryHyperRelation:
     """Restriction to triples whose family is a single subset."""
-    m = np.zeros_like(t.masks)
-    for a in t.source.subsets():
-        fam = 1 << (a - 1)
-        m[fam, :] = t.masks[fam, :]
-    return TernaryHyperRelation(t.source, t.target, t.lattice, m)
+    return TernaryHyperRelation(t.source, t.target, t.lattice, _singletons(t.masks, t.source))
 
 
 def bullet(rep: LFuzzyAmbRep) -> TernaryHyperRelation:
     """The singleton-family copy of a representation's subgraph."""
     _gate(rep.source, rep.lattice)
-    down, _ = _grade_tables(rep.lattice)
+    down = _grade_tables(rep.lattice).down
     m = np.zeros((1 << rep.source.full, rep.target.full + 1), dtype=np.uint8)
-    for a in rep.source.subsets():
-        for b in rep.target.subsets():
-            m[1 << (a - 1), b] = down[1 << rep.grade(a, b)]
+    m[_singleton_rows(rep.source), 1:] = down[1 << rep.grades]
     return TernaryHyperRelation(rep.source, rep.target, rep.lattice, m)
+
+
+def _decode(
+    masks: np.ndarray, source: FiniteSpace, target: FiniteSpace, lattice: FiniteLattice
+) -> LFuzzyAmbRep:
+    join_of = _grade_tables(lattice).join_of
+    return LFuzzyAmbRep(source, target, lattice, join_of[masks[_singleton_rows(source), 1:]])
 
 
 def decode(t: TernaryHyperRelation) -> LFuzzyAmbRep:
     """Recover the representation from the singleton-family triples."""
-    lat = t.lattice
-    g = np.full((t.source.full, t.target.full), lat.bottom, dtype=np.intp)
-    for a in t.source.subsets():
-        fam = 1 << (a - 1)
-        for b in t.target.subsets():
-            mk = int(t.masks[fam, b])
-            g[a - 1, b - 1] = lat.family_join(al for al in range(lat.size) if mk >> al & 1)
-    return LFuzzyAmbRep(t.source, t.target, lat, g)
+    return _decode(t.masks, t.source, t.target, t.lattice)
 
 
 def is_encoded(t: TernaryHyperRelation) -> bool:
     """Fixed-point test recognizing encoded representations."""
-    return t == plus(t) and t == plus(singleton_part(t))
+    m = t.masks
+    return np.array_equal(m, _plus(m, t.source, t.lattice)) and np.array_equal(
+        m, _plus(_singletons(m, t.source), t.source, t.lattice)
+    )
 
 
 def family_sup(reps: Sequence[LFuzzyAmbRep]) -> LFuzzyAmbRep:
@@ -313,12 +365,12 @@ def family_sup(reps: Sequence[LFuzzyAmbRep]) -> LFuzzyAmbRep:
     if not reps:
         raise ValueError("sup of an empty family is not defined without a frame")
     first = reps[0]
-    acc = np.zeros_like(encode(first).masks)
     for r in reps:
         if r.source != first.source or r.target != first.target or r.lattice != first.lattice:
-            from .errors import SpaceMismatch
-
             raise SpaceMismatch("family members live over different frames")
-        acc |= encode(r).masks
-    merged = TernaryHyperRelation(first.source, first.target, first.lattice, acc)
-    return decode(plus(merged))
+    _gate(first.source, first.lattice)
+    acc = _encode(first)
+    for r in reps[1:]:
+        acc |= _encode(r)
+    acc = _plus(acc, first.source, first.lattice)
+    return _decode(acc, first.source, first.target, first.lattice)

@@ -16,7 +16,7 @@ import numpy as np
 from . import crisp, fuzzy
 from .capacity import LCapacity, validate_capacity
 from .crisp import CrispAmbRep
-from .errors import MalformedInput
+from .errors import MalformedInput, ValidationError
 from .fuzzy import LFuzzyAmbRep
 from .hyperspace import FiniteSpace, members
 from .hyperencoding import TernaryHyperRelation
@@ -146,12 +146,20 @@ def fuzzy_rep_from(payload) -> tuple[LFuzzyAmbRep, TNormTable | None]:
     table = np.full((source.full, target.full), lat.bottom, dtype=np.intp)
     table[:, target.full - 1] = lat.top
     try:
-        for a_labels, b_labels, g_label in payload["grades"]:
-            a = subset_from(source, a_labels)
-            b = subset_from(target, b_labels)
-            table[a - 1, b - 1] = lat.index(g_label)
+        entries = [
+            (subset_from(source, a_labels), subset_from(target, b_labels), lat.index(g_label))
+            for a_labels, b_labels, g_label in payload["grades"]
+        ]
     except (TypeError, ValueError, KeyError) as e:
         raise MalformedInput(f"bad grade list: {e}") from None
+    for a, b, g in entries:
+        if not a or not b:
+            raise ValidationError(
+                "BadPair",
+                "grade entries pair nonempty subsets only",
+                witness=[subset_payload(source, a), subset_payload(target, b)],
+            )
+        table[a - 1, b - 1] = g
     return fuzzy.validate(source, target, lat, table), tn
 
 

@@ -8,11 +8,15 @@ test suite and the ``laws`` command only; they make no attempt at speed.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
+
+import numpy as np
 
 from .crisp import CrispAmbRep
 from .errors import LatticeTooLarge
 from .fuzzy import LFuzzyAmbRep
+from .hyperencoding import TernaryHyperRelation
 from .hyperspace import FiniteSpace
 from .lattice import FiniteLattice, TNormTable
 
@@ -118,11 +122,103 @@ def compose_subgraph(rf: LFuzzyAmbRep, sf: LFuzzyAmbRep, tnorm: TNormTable) -> L
     for b, c, gamma in sub_s:
         by_first.setdefault(b, []).append((c, gamma))
 
-    import numpy as np
-
     grades = np.full((rf.source.full, sf.target.full), lat.bottom, dtype=np.intp)
     for a, b, beta in sub_r:
         for c, gamma in by_first.get(b, ()):
             combined = tnorm(beta, gamma)
             grades[a - 1, c - 1] = lat.join(int(grades[a - 1, c - 1]), combined)
     return LFuzzyAmbRep(rf.source, sf.target, lat, grades)
+
+
+@lru_cache(maxsize=None)
+def _refiners(space: FiniteSpace) -> dict[int, list[int]]:
+    # _refiners(X)[fam] = the families cand such that every member of fam
+    # contains some member of cand
+    members = {
+        fam: [s for s in _nonempty_subsets(space.size) if fam >> (s - 1) & 1]
+        for fam in range(1, 1 << space.full)
+    }
+    return {
+        fam: [
+            cand
+            for cand, cand_members in members.items()
+            if all(any(c & a == c for c in cand_members) for a in fam_members)
+        ]
+        for fam, fam_members in members.items()
+    }
+
+
+def subset_saturate_per_cell(t: TernaryHyperRelation) -> TernaryHyperRelation:
+    """Refinement saturation, one input cell at a time.
+
+    Every held grade set at ``(fam, b)`` spreads, closed downward, to
+    ``(cand, b)`` for each family ``cand`` refining ``fam``: every member
+    of ``fam`` contains some member of ``cand``.
+    """
+    lat = t.lattice
+    refiners = _refiners(t.source)
+    below = [
+        sum(1 << beta for beta in range(lat.size) if lat.le(beta, alpha))
+        for alpha in range(lat.size)
+    ]
+    out = np.zeros_like(t.masks)
+    for fam, b in zip(*np.nonzero(t.masks)):
+        mask = int(t.masks[fam, b])
+        spread = 0
+        for alpha in range(lat.size):
+            if mask >> alpha & 1:
+                spread |= below[alpha]
+        for cand in refiners[int(fam)]:
+            out[cand, b] |= spread
+    return TernaryHyperRelation(t.source, t.target, lat, out)
+
+
+def sup_saturate_fixpoint(t: TernaryHyperRelation) -> TernaryHyperRelation:
+    """Merge saturation as the fixed point of the binary merge.
+
+    Each round merges every pair of held cells (family union, set union,
+    all pairwise grade joins) until nothing changes.  Since the three
+    combiners are associative, commutative and idempotent, the fixed
+    point is the closure under merging any nonempty subset of triples.
+    """
+    lat = t.lattice
+    size = 1 << lat.size
+    joinm = np.zeros((size, size), dtype=np.uint8)
+    for m1 in range(size):
+        for m2 in range(size):
+            for a in range(lat.size):
+                for b in range(lat.size):
+                    if m1 >> a & 1 and m2 >> b & 1:
+                        joinm[m1, m2] |= 1 << lat.join(a, b)
+    cur = t.masks.copy()
+    while True:
+        fams, bs = np.nonzero(cur)
+        if len(fams) == 0:
+            break
+        mk = cur[fams, bs]
+        ff = np.bitwise_or.outer(fams, fams).ravel()
+        bb = np.bitwise_or.outer(bs, bs).ravel()
+        jj = joinm[mk[:, None], mk[None, :]].ravel()
+        nxt = cur.copy()
+        np.bitwise_or.at(nxt, (ff, bb), jj)
+        if np.array_equal(nxt, cur):
+            break
+        cur = nxt
+    return TernaryHyperRelation(t.source, t.target, lat, cur)
+
+
+def plus_literal(t: TernaryHyperRelation) -> TernaryHyperRelation:
+    """Floor, then the two saturations above.
+
+    The floor adds every grade on the full target set and the bottom
+    grade at every family and target set.
+    """
+    lat = t.lattice
+    floor = set(t.triples())
+    for fam in range(1, 1 << t.source.full):
+        for b in _nonempty_subsets(t.target.size):
+            floor.add((fam, b, lat.bottom))
+        for alpha in range(lat.size):
+            floor.add((fam, t.target.full, alpha))
+    floored = TernaryHyperRelation.from_triples(t.source, t.target, lat, floor)
+    return sup_saturate_fixpoint(subset_saturate_per_cell(floored))

@@ -1,9 +1,9 @@
 import pytest
 
-from ambrel import fuzzy
+from ambrel import fuzzy, oracle
 from ambrel import hyperencoding as he
-from ambrel.catalog import chain
-from ambrel.errors import SpaceTooLarge
+from ambrel.catalog import boolean_square, chain
+from ambrel.errors import SpaceMismatch, SpaceTooLarge
 from ambrel.generators import random_fuzzy_rep, random_hyper_triples
 from ambrel.hyperspace import family_of, space
 
@@ -90,6 +90,35 @@ def test_saturations_extensive_idempotent(x3, y2, square):
             assert op(sat) == sat
 
 
+def test_saturations_match_oracle_twins():
+    # a raw triple set at every shape and lattice; the encode and bullet
+    # images of one representation per shape, cycling through the lattices
+    lattices = [chain(k) for k in (1, 2, 3, 4)] + [boolean_square()]
+    for nx in (1, 2, 3):
+        for ny in (1, 2, 3, 4):
+            x = space(*(f"x{i}" for i in range(nx)))
+            y = space(*(f"y{i}" for i in range(ny)))
+            for k, lat in enumerate(lattices):
+                seed = 100 * nx + 10 * ny + k
+                raw = random_hyper_triples(x, y, lat, seed, count=(1, 3, 8, 20)[seed % 4])
+                cases = [he.TernaryHyperRelation.from_triples(x, y, lat, raw)]
+                if k == (nx + ny) % len(lattices):
+                    rep = random_fuzzy_rep(x, y, lat, seed, 0.2 + 0.1 * (seed % 7))
+                    cases += [he.encode(rep), he.bullet(rep)]
+                for t in cases:
+                    assert he.subset_saturate(t) == oracle.subset_saturate_per_cell(t)
+                    assert he.sup_saturate(t) == oracle.sup_saturate_fixpoint(t)
+                    assert he.plus(t) == oracle.plus_literal(t)
+
+
+def test_triple_count_matches_triples(x3, y2, square):
+    for seed in range(8):
+        raw = random_hyper_triples(x3, y2, square, 700 + seed, count=4 * seed)
+        t = he.TernaryHyperRelation.from_triples(x3, y2, square, raw)
+        for rel in (t, he.plus(t)):
+            assert rel.triple_count() == len(list(rel.triples()))
+
+
 def test_encode_roundtrip_and_fixpoint(x3, y3, chain3, square):
     for lat in (chain3, square):
         for seed in range(10):
@@ -127,6 +156,14 @@ def test_family_sup_trivia(x2, y2, square):
     rep = random_fuzzy_rep(x2, y2, square, 3, 0.5)
     assert he.family_sup([rep]) == rep
     assert he.family_sup([rep, fuzzy.bot(x2, y2, square)]) == rep
+
+
+def test_family_sup_rejects_mixed_frames(x2, y2, y3, chain3, square):
+    rep = random_fuzzy_rep(x2, y2, chain3, 1, 0.5)
+    with pytest.raises(SpaceMismatch):
+        he.family_sup([rep, random_fuzzy_rep(x2, y3, chain3, 2, 0.5)])
+    with pytest.raises(SpaceMismatch):
+        he.family_sup([rep, random_fuzzy_rep(x2, y2, square, 3, 0.5)])
 
 
 def test_size_gates():

@@ -5,7 +5,7 @@ import pytest
 from ambrel import crisp, fuzzy, io
 from ambrel.catalog import lukasiewicz
 from ambrel.cli import main
-from ambrel.errors import MalformedInput
+from ambrel.errors import MalformedInput, ValidationError
 from ambrel.generators import random_capacity, random_fuzzy_rep, random_rep
 from ambrel.hyperencoding import encode
 from ambrel.lattice import meet_tnorm
@@ -76,6 +76,23 @@ def test_malformed_payloads_rejected():
         io.loads("{broken")
 
 
+def _graded_payload(a_labels, b_labels):
+    return {
+        "source": ["x1", "x2"],
+        "target": ["y1", "y2"],
+        "lattice": {"elements": ["0", "1"], "leq": [[True, True], [False, True]]},
+        "grades": [[a_labels, b_labels, "1"]],
+    }
+
+
+@pytest.mark.parametrize("a_labels, b_labels", [([], ["y1"]), (["x1"], [])])
+def test_graded_empty_subset_rejected(a_labels, b_labels):
+    with pytest.raises(ValidationError) as info:
+        io.fuzzy_rep_from(_graded_payload(a_labels, b_labels))
+    assert info.value.code == "BadPair"
+    assert info.value.witness == [a_labels, b_labels]
+
+
 # -- command line -----------------------------------------------------------
 
 
@@ -113,6 +130,15 @@ def test_cli_validate_and_report(tmp_path, capsys):
     assert code == 1
     report = json.loads(out)
     assert report["verdict"] == "invalid" and report["error"] == "MissingFullTarget"
+
+
+@pytest.mark.parametrize("a_labels, b_labels", [([], ["y1"]), (["x1"], [])])
+def test_cli_validate_rejects_empty_subset(tmp_path, capsys, a_labels, b_labels):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(_graded_payload(a_labels, b_labels)))
+    code, out = run_cli(capsys, "validate", "--rep", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == "BadPair"
 
 
 def test_cli_compose_cut_capacity_unavoidable(tmp_path, capsys):

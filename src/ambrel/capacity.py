@@ -9,13 +9,14 @@ source set are the bridge between representations and measures.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 from .errors import ValidationError
 from .fuzzy import LFuzzyAmbRep
-from .hyperspace import FiniteSpace
+from .hyperspace import FiniteSpace, _grow_index, _superset_matrix, _union_index
 from .lattice import FiniteLattice
 
 
@@ -64,15 +65,16 @@ def validate_capacity(space: FiniteSpace, lattice: FiniteLattice, values) -> LCa
             "the empty set must get bottom and the whole space top",
             witness=[lattice.elements[int(v[0])], lattice.elements[int(v[space.full])]],
         )
-    for f in range(space.full + 1):
-        for i in range(space.size):
-            g = f | (1 << i)
-            if g != f and not lattice.le(int(v[f]), int(v[g])):
-                raise ValidationError(
-                    "NotMonotone",
-                    "values must rise with the set",
-                    witness=[list(space.labels(f)), list(space.labels(g))],
-                )
+    # rises[f, i]: the value at f is not below the value at f | 1 << i; a
+    # bit already in f compares a value with itself, which reflexivity passes
+    rises = ~lattice.leq[v[:, None], v[_grow_index(space)]]
+    if rises.any():
+        f, i = divmod(int(rises.argmax()), space.size)
+        raise ValidationError(
+            "NotMonotone",
+            "values must rise with the set",
+            witness=[list(space.labels(f)), list(space.labels(f | (1 << i)))],
+        )
     return cap
 
 
@@ -86,9 +88,7 @@ def capacity_of(rep: LFuzzyAmbRep, a: int) -> LCapacity:
     """The capacity graded by the fiber of the representation at ``a``."""
     if not 1 <= a <= rep.source.full:
         raise ValidationError("BadSubset", f"source subset mask {a} out of range")
-    values = [rep.lattice.bottom] * (rep.target.full + 1)
-    for b in rep.target.subsets():
-        values[b] = rep.grade(a, b)
+    values = np.concatenate(([rep.lattice.bottom], rep.grades[a - 1]))
     return LCapacity(rep.target, rep.lattice, values)
 
 
@@ -125,62 +125,90 @@ def validate_subgraph(
     over a finite space.  Returns the unique capacity with this subgraph.
     """
     pset = set(pairs)
-    for f, alpha in pset:
-        if not 1 <= f <= space.full or not 0 <= alpha < lattice.size:
-            raise ValidationError("BadPair", f"pair ({f}, {alpha}) out of range")
-    for f in space.subsets():
-        if (f, lattice.bottom) not in pset:
-            raise ValidationError(
-                "MissingFloor",
-                "every nonempty set must appear at grade bottom",
-                witness=[list(space.labels(f)), lattice.elements[lattice.bottom]],
-            )
+    listed = list(pset)  # the set's own order, which the witnesses follow
+    flat = np.fromiter(chain.from_iterable(listed), dtype=np.intp, count=2 * len(listed))
+    fs, alphas = flat.reshape(-1, 2).T
+    out_of_range = (fs < 1) | (fs > space.full) | (alphas < 0) | (alphas >= lattice.size)
+    if out_of_range.any():
+        f, alpha = listed[int(out_of_range.argmax())]
+        raise ValidationError("BadPair", f"pair ({f}, {alpha}) out of range")
+    # held[f - 1, alpha]: the pair (f, alpha) is in the set
+    held = np.zeros((space.full, lattice.size), dtype=bool)
+    held[fs - 1, alphas] = True
+    missing = ~held[:, lattice.bottom]
+    if missing.any():
+        f = int(missing.argmax()) + 1
+        raise ValidationError(
+            "MissingFloor",
+            "every nonempty set must appear at grade bottom",
+            witness=[list(space.labels(f)), lattice.elements[lattice.bottom]],
+        )
+    missing = ~held[space.full - 1]
+    if missing.any():
+        alpha = int(missing.argmax())
+        raise ValidationError(
+            "MissingFloor",
+            "the whole space must appear at every grade",
+            witness=[list(space.labels(space.full)), lattice.elements[alpha]],
+        )
+    leq, jt = lattice.leq, lattice.join_table
+    supersets = _superset_matrix(space)
+    gaps = ~held
+    # a held (f, alpha) fails when some superset of f misses some grade
+    # below alpha; counts in float32 are exact at these sizes
+    gap_below = gaps.astype(np.float32) @ leq.astype(np.float32) > 0
+    gap_above = supersets.astype(np.float32) @ gap_below.astype(np.float32) > 0
+    failing = gap_above[fs - 1, alphas]
+    if failing.any():
+        f, alpha = listed[int(failing.argmax())]
+        first = supersets[f - 1][:, None] & leq[:, alpha][None, :] & gaps
+        g, beta = divmod(int(first.argmax()), lattice.size)
+        raise ValidationError(
+            "NotDownSetInAlpha",
+            "subgraphs grow with the set and shrink with the grade",
+            witness=[
+                list(space.labels(f)),
+                lattice.elements[alpha],
+                list(space.labels(g + 1)),
+                lattice.elements[beta],
+            ],
+        )
+    # reach[f - 1, beta, gamma]: some held grade alpha at f has alpha | beta = gamma;
+    # joins[f - 1, g - 1, gamma]: gamma joins a grade held at f with one held at g
+    one_hot = (jt[:, :, None] == np.arange(lattice.size)).astype(np.float32)
+    reach = (held.astype(np.float32) @ one_hot.reshape(lattice.size, -1)).reshape(
+        space.full, lattice.size, lattice.size
+    )
+    joins = held.astype(np.float32) @ reach > 0
+    unions = _union_index(space) - 1
+    short = (joins & gaps[unions]).any(axis=2)
+    if short.any():
+        f, g = (k + 1 for k in divmod(int(short.argmax()), space.full))
+        # walk the grade sets in the order the pair set fills them
+        grades_f = {alpha for f2, alpha in listed if f2 == f}
+        grades_g = {beta for g2, beta in listed if g2 == g}
+        alpha, beta = next(
+            (alpha, beta)
+            for alpha in grades_f
+            for beta in grades_g
+            if not held[(f | g) - 1, jt[alpha, beta]]
+        )
+        raise ValidationError(
+            "UnionJoinViolated",
+            "grades of a union must reach the join of the parts",
+            witness=[
+                list(space.labels(f)),
+                lattice.elements[alpha],
+                list(space.labels(g)),
+                lattice.elements[beta],
+            ],
+        )
+    values = np.full(space.full + 1, lattice.bottom, dtype=np.intp)
     for alpha in range(lattice.size):
-        if (space.full, alpha) not in pset:
-            raise ValidationError(
-                "MissingFloor",
-                "the whole space must appear at every grade",
-                witness=[list(space.labels(space.full)), lattice.elements[alpha]],
-            )
-    for f, alpha in pset:
-        for g in space.subsets():
-            if f & g != f:
-                continue
-            for beta in range(lattice.size):
-                if lattice.le(beta, alpha) and (g, beta) not in pset:
-                    raise ValidationError(
-                        "NotDownSetInAlpha",
-                        "subgraphs grow with the set and shrink with the grade",
-                        witness=[
-                            list(space.labels(f)),
-                            lattice.elements[alpha],
-                            list(space.labels(g)),
-                            lattice.elements[beta],
-                        ],
-                    )
-    by_set: dict[int, set[int]] = {f: set() for f in space.subsets()}
-    for f, alpha in pset:
-        by_set[f].add(alpha)
-    for f, grades_f in by_set.items():
-        for g, grades_g in by_set.items():
-            for alpha in grades_f:
-                for beta in grades_g:
-                    if (f | g, lattice.join(alpha, beta)) not in pset:
-                        raise ValidationError(
-                            "UnionJoinViolated",
-                            "grades of a union must reach the join of the parts",
-                            witness=[
-                                list(space.labels(f)),
-                                lattice.elements[alpha],
-                                list(space.labels(g)),
-                                lattice.elements[beta],
-                            ],
-                        )
-    values = [lattice.bottom] * (space.full + 1)
-    for f in space.subsets():
-        values[f] = lattice.family_join(by_set[f])
+        at = np.flatnonzero(held[:, alpha]) + 1
+        values[at] = jt[values[at], alpha]
     cap = validate_capacity(space, lattice, values)
-    if capacity_subgraph(cap) != pset:
+    if not np.array_equal(leq.T[cap.values[1:]], held):
         raise ValidationError(
             "NotASubgraph", "pair set is not reproduced by its own capacity", witness=None
         )

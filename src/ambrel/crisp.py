@@ -212,22 +212,6 @@ def is_pseudo_invertible(rep: CrispAmbRep) -> bool:
     return sms(sms(rep)) == rep
 
 
-def is_strict(rep: CrispAmbRep) -> bool:
-    """Column-closedness; vacuously true over finite discrete spaces."""
-    for b in rep.target.subsets():
-        _column = [a for a in rep.source.subsets() if rep.contains(a, b)]
-        # every subset of a finite discrete hyperspace is closed
-    return True
-
-
-def is_open(rep: CrispAmbRep) -> bool:
-    """Openness of the unavoidable-set map; vacuously true over finite
-    discrete spaces, where every Vietoris-open family is open."""
-    for a in rep.source.subsets():
-        _ = traversal(rep.target, rep.rows[a - 1])
-    return True
-
-
 # -- lattice structure ------------------------------------------------------
 
 
@@ -254,14 +238,7 @@ def compose(r: CrispAmbRep, s: CrispAmbRep) -> CrispAmbRep:
         for b in members(r.rows[a - 1]):
             acc |= s.rows[b - 1]
         rows.append(acc)
-    return _closure_hook(CrispAmbRep(r.source, s.target, tuple(rows)))
-
-
-def _closure_hook(rep: CrispAmbRep) -> CrispAmbRep:
-    # Row closure after composition: the identity map over finite discrete
-    # spaces, kept as a separate stage so the two composition laws of the
-    # theory share one code path.
-    return rep
+    return CrispAmbRep(r.source, s.target, tuple(rows))
 
 
 # -- worked examples ---------------------------------------------------------

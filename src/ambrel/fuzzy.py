@@ -18,7 +18,7 @@ import numpy as np
 from . import crisp
 from .crisp import CrispAmbRep
 from .errors import LatticeIsChain, SpaceMismatch, ValidationError
-from .hyperspace import FiniteSpace, members
+from .hyperspace import FiniteSpace, _bit_weights, _grow_index, _shrink_index
 from .lattice import FiniteLattice, TNormTable, meet_tnorm
 
 
@@ -96,43 +96,44 @@ def validate(
     rep = LFuzzyAmbRep(source, target, lattice, grades)
     g = rep.grades
     leq = lattice.leq
-    for a in source.subsets():
-        if g[a - 1, target.full - 1] != lattice.top:
-            raise ValidationError(
-                "FullTargetNotTop",
-                "the whole target must carry the top grade",
-                witness=[list(source.labels(a))],
-            )
-    for b in target.subsets():
-        for j in range(target.size):
-            bigger = b | (1 << j)
-            if bigger != b:
-                for a in source.subsets():
-                    if not leq[g[a - 1, b - 1], g[a - 1, bigger - 1]]:
-                        raise ValidationError(
-                            "NotIsotoneInB",
-                            "grades must rise with the target set",
-                            witness=[
-                                list(source.labels(a)),
-                                list(target.labels(b)),
-                                list(target.labels(bigger)),
-                            ],
-                        )
-    for a in source.subsets():
-        for i in range(source.size):
-            smaller = a & ~(1 << i)
-            if smaller:
-                for b in target.subsets():
-                    if not leq[g[a - 1, b - 1], g[smaller - 1, b - 1]]:
-                        raise ValidationError(
-                            "NotAntitoneInA",
-                            "grades must fall as the source set grows",
-                            witness=[
-                                list(source.labels(smaller)),
-                                list(source.labels(a)),
-                                list(target.labels(b)),
-                            ],
-                        )
+    off_top = g[:, target.full - 1] != lattice.top
+    if off_top.any():
+        a = int(off_top.argmax()) + 1
+        raise ValidationError(
+            "FullTargetNotTop",
+            "the whole target must carry the top grade",
+            witness=[list(source.labels(a))],
+        )
+    # falls[b - 1, j, a - 1]: grade (a, b) is not below grade (a, b | 1 << j).
+    # A bit already in b compares an entry with itself, which reflexivity
+    # passes, so the first violation is the loop-order (b, j, a) one.
+    gt = g.T
+    falls = ~leq[gt[:, None, :], gt[_grow_index(target)[1:] - 1]]
+    if falls.any():
+        b, j, a = (int(k) for k in np.unravel_index(falls.argmax(), falls.shape))
+        raise ValidationError(
+            "NotIsotoneInB",
+            "grades must rise with the target set",
+            witness=[
+                list(source.labels(a + 1)),
+                list(target.labels(b + 1)),
+                list(target.labels((b + 1) | (1 << j))),
+            ],
+        )
+    # rises[a - 1, i, b - 1]: grade (a, b) is not below grade (a & ~(1 << i), b);
+    # steps that leave a unchanged or empty compare an entry with itself
+    rises = ~leq[g[:, None, :], g[_shrink_index(source)[1:] - 1]]
+    if rises.any():
+        a, i, b = (int(k) for k in np.unravel_index(rises.argmax(), rises.shape))
+        raise ValidationError(
+            "NotAntitoneInA",
+            "grades must fall as the source set grows",
+            witness=[
+                list(source.labels((a + 1) & ~(1 << i))),
+                list(source.labels(a + 1)),
+                list(target.labels(b + 1)),
+            ],
+        )
     return rep
 
 
@@ -173,15 +174,9 @@ def embed_crisp(rep: CrispAmbRep, lattice: FiniteLattice) -> LFuzzyAmbRep:
 def alpha_cut(rep: LFuzzyAmbRep, alpha: int) -> CrispAmbRep:
     """Pairs graded at least ``alpha``; a valid crisp representation for
     every ``alpha``."""
-    leq = rep.lattice.leq
-    rows = []
-    for a in rep.source.subsets():
-        row = 0
-        for b in rep.target.subsets():
-            if leq[alpha, rep.grades[a - 1, b - 1]]:
-                row |= 1 << (b - 1)
-        rows.append(row)
-    return CrispAmbRep(rep.source, rep.target, tuple(rows))
+    held = rep.lattice.leq[alpha][rep.grades]
+    rows = held @ _bit_weights(rep.target)
+    return CrispAmbRep(rep.source, rep.target, tuple(rows.tolist()))
 
 
 def cuts(rep: LFuzzyAmbRep) -> dict[int, CrispAmbRep]:
@@ -208,23 +203,21 @@ def from_cuts(
     for cut in cut_family.values():
         if cut.source != source or cut.target != target:
             raise SpaceMismatch("cut family members live over different spaces")
+    rows = np.array([cut.rows for cut in cut_family.values()], dtype=np.int64)
+    held = rows[:, :, None] & _bit_weights(target) != 0
     g = np.full((source.full, target.full), lattice.bottom, dtype=np.intp)
-    for a in source.subsets():
-        for b in target.subsets():
-            g[a - 1, b - 1] = lattice.family_join(
-                alpha for alpha, cut in cut_family.items() if cut.contains(a, b)
-            )
+    for alpha, in_cut in zip(cut_family, held):
+        g[in_cut] = lattice.join_table[g[in_cut], alpha]
     rep = LFuzzyAmbRep(source, target, lattice, g)
     for alpha, cut in cut_family.items():
         again = alpha_cut(rep, alpha)
         if again != cut:
-            rows_diff = [
-                (a, b)
-                for a in source.subsets()
-                for b in target.subsets()
-                if again.contains(a, b) != cut.contains(a, b)
-            ]
-            a, b = rows_diff[0]
+            # first differing pair in (a, b) order: first differing row,
+            # lowest differing bit
+            a, diff = next(
+                (a, r ^ s) for a, (r, s) in enumerate(zip(again.rows, cut.rows), 1) if r != s
+            )
+            b = (diff & -diff).bit_length()
             raise ValidationError(
                 "CutFamilyInconsistent",
                 "cut family is not reproduced by its own grades",
@@ -268,27 +261,21 @@ def compose(
 def sms(rep: LFuzzyAmbRep) -> LFuzzyAmbRep:
     """Cutwise pseudo-inversion.
 
-    The cut of the result at ``alpha`` is the intersection of the crisp
-    pseudo-inverses of all cuts at indices up to ``alpha`` (the
-    approximation order collapses to the lattice order on finite
-    lattices, and the zero cut participates in every intersection).  The
-    grade of a pair is recovered as the join of the indices whose
-    intersection holds it; the zero cut of the result is the full
-    relation, as for any graded relation.
+    By definition the cut of the result at ``alpha`` is the intersection
+    of the crisp pseudo-inverses of all cuts at indices up to ``alpha``
+    (the approximation order collapses to the lattice order on finite
+    lattices).  Cuts shrink as the index grows and crisp ``sms`` is
+    isotone, so of the intersected relations the pseudo-inverse of the cut
+    at ``alpha`` is the smallest, and the intersection is exactly
+    ``crisp.sms(cut_alpha)``.  The zero cut of the result is the full
+    relation, as for any graded relation, rather than the pseudo-inverse
+    of the full zero cut.  The grade of a pair is recovered as the join of
+    the indices whose cut holds it, and ``from_cuts`` checks that the
+    cuts reproduce themselves.
     """
     lat = rep.lattice
     X, Y = rep.source, rep.target
-    base = {alpha: crisp.sms(alpha_cut(rep, alpha)) for alpha in range(lat.size)}
-    formula_cuts: dict[int, CrispAmbRep] = {}
-    for alpha in range(lat.size):
-        rows = list(crisp.top(Y, X).rows)
-        for beta in range(lat.size):
-            if lat.le(beta, alpha):
-                rows = [r & s for r, s in zip(rows, base[beta].rows)]
-        formula_cuts[alpha] = CrispAmbRep(Y, X, tuple(rows))
-    # positive cuts follow the intersection formula; the zero cut is the
-    # full relation by the subgraph floor
-    cut_family = {alpha: formula_cuts[alpha] for alpha in range(lat.size)}
+    cut_family = {alpha: crisp.sms(alpha_cut(rep, alpha)) for alpha in range(lat.size)}
     cut_family[lat.bottom] = crisp.top(Y, X)
     return from_cuts(Y, X, lat, cut_family)
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import ValidationError
 
 MAX_POINTS = 6
@@ -138,6 +140,47 @@ def _meets_table(space: FiniteSpace) -> tuple[int, ...]:
                 fam |= 1 << (t - 1)
         table.append(fam)
     return tuple(table)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=None)
+def _grow_index(space: FiniteSpace) -> np.ndarray:
+    # _grow_index(X)[m, i] = m | (1 << i), for every mask m from 0 to X.full
+    masks = np.arange(space.full + 1)[:, None]
+    return _frozen(masks | (1 << np.arange(space.size)))
+
+
+@lru_cache(maxsize=None)
+def _shrink_index(space: FiniteSpace) -> np.ndarray:
+    # _shrink_index(X)[m, i] = m & ~(1 << i), or m itself where that is empty
+    masks = np.arange(space.full + 1)[:, None]
+    smaller = masks & ~(1 << np.arange(space.size))
+    return _frozen(np.where(smaller == 0, masks, smaller))
+
+
+@lru_cache(maxsize=None)
+def _bit_weights(space: FiniteSpace) -> np.ndarray:
+    # _bit_weights(X)[s - 1] = 1 << (s - 1): packs a boolean row over the
+    # nonempty subsets into a family mask (bit 62 at most, so int64 holds it)
+    return _frozen(np.left_shift(1, np.arange(space.full, dtype=np.int64)))
+
+
+@lru_cache(maxsize=None)
+def _superset_matrix(space: FiniteSpace) -> np.ndarray:
+    # _superset_matrix(X)[s - 1, t - 1] = whether s <= t, over nonempty masks
+    masks = np.arange(1, space.full + 1)
+    return _frozen(masks[:, None] & masks[None, :] == masks[:, None])
+
+
+@lru_cache(maxsize=None)
+def _union_index(space: FiniteSpace) -> np.ndarray:
+    # _union_index(X)[s - 1, t - 1] = s | t, over nonempty masks
+    masks = np.arange(1, space.full + 1)
+    return _frozen(masks[:, None] | masks[None, :])
 
 
 def upward_closure(space: FiniteSpace, family: int) -> int:

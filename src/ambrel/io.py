@@ -152,6 +152,7 @@ def fuzzy_rep_from(payload) -> tuple[LFuzzyAmbRep, TNormTable | None]:
         ]
     except (TypeError, ValueError, KeyError) as e:
         raise MalformedInput(f"bad grade list: {e}") from None
+    seen = set()
     for a, b, g in entries:
         if not a or not b:
             raise ValidationError(
@@ -159,6 +160,13 @@ def fuzzy_rep_from(payload) -> tuple[LFuzzyAmbRep, TNormTable | None]:
                 "grade entries pair nonempty subsets only",
                 witness=[subset_payload(source, a), subset_payload(target, b)],
             )
+        if (a, b) in seen:
+            raise ValidationError(
+                "DuplicatePair",
+                "each pair of subsets may be graded only once",
+                witness=[subset_payload(source, a), subset_payload(target, b)],
+            )
+        seen.add((a, b))
         table[a - 1, b - 1] = g
     return fuzzy.validate(source, target, lat, table), tn
 

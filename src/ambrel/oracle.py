@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import crisp
+from .capacity import LCapacity, capacity_subgraph
 from .crisp import CrispAmbRep
-from .errors import LatticeTooLarge
+from .errors import LatticeTooLarge, SpaceMismatch, ValidationError
 from .fuzzy import LFuzzyAmbRep
 from .hyperencoding import TernaryHyperRelation
 from .hyperspace import FiniteSpace
@@ -222,3 +225,232 @@ def plus_literal(t: TernaryHyperRelation) -> TernaryHyperRelation:
             floor.add((fam, t.target.full, alpha))
     floored = TernaryHyperRelation.from_triples(t.source, t.target, lat, floor)
     return sup_saturate_fixpoint(subset_saturate_per_cell(floored))
+
+
+# -- graded kernels, one pair at a time ------------------------------------------
+
+
+def fuzzy_validate_loops(
+    source: FiniteSpace, target: FiniteSpace, lattice: FiniteLattice, grades
+) -> LFuzzyAmbRep:
+    """``fuzzy.validate`` by nested loops over sets, one-point steps and
+    pairs, raising at the first violation in loop order."""
+    rep = LFuzzyAmbRep(source, target, lattice, grades)
+    g = rep.grades
+    leq = lattice.leq
+    for a in source.subsets():
+        if g[a - 1, target.full - 1] != lattice.top:
+            raise ValidationError(
+                "FullTargetNotTop",
+                "the whole target must carry the top grade",
+                witness=[list(source.labels(a))],
+            )
+    for b in target.subsets():
+        for j in range(target.size):
+            bigger = b | (1 << j)
+            if bigger != b:
+                for a in source.subsets():
+                    if not leq[g[a - 1, b - 1], g[a - 1, bigger - 1]]:
+                        raise ValidationError(
+                            "NotIsotoneInB",
+                            "grades must rise with the target set",
+                            witness=[
+                                list(source.labels(a)),
+                                list(target.labels(b)),
+                                list(target.labels(bigger)),
+                            ],
+                        )
+    for a in source.subsets():
+        for i in range(source.size):
+            smaller = a & ~(1 << i)
+            if smaller:
+                for b in target.subsets():
+                    if not leq[g[a - 1, b - 1], g[smaller - 1, b - 1]]:
+                        raise ValidationError(
+                            "NotAntitoneInA",
+                            "grades must fall as the source set grows",
+                            witness=[
+                                list(source.labels(smaller)),
+                                list(source.labels(a)),
+                                list(target.labels(b)),
+                            ],
+                        )
+    return rep
+
+
+def alpha_cut_per_pair(rep: LFuzzyAmbRep, alpha: int) -> CrispAmbRep:
+    """``fuzzy.alpha_cut`` by testing every pair against ``alpha``."""
+    leq = rep.lattice.leq
+    rows = []
+    for a in rep.source.subsets():
+        row = 0
+        for b in rep.target.subsets():
+            if leq[alpha, rep.grades[a - 1, b - 1]]:
+                row |= 1 << (b - 1)
+        rows.append(row)
+    return CrispAmbRep(rep.source, rep.target, tuple(rows))
+
+
+def from_cuts_per_pair(
+    source: FiniteSpace,
+    target: FiniteSpace,
+    lattice: FiniteLattice,
+    cut_family: Mapping[int, CrispAmbRep],
+) -> LFuzzyAmbRep:
+    """``fuzzy.from_cuts`` by joining, pair by pair, the indices whose cut
+    holds the pair, then re-cutting and scanning every pair for the first
+    mismatch."""
+    if set(cut_family) != set(range(lattice.size)):
+        raise ValidationError(
+            "CutFamilyInconsistent", "need one cut per lattice element", witness=None
+        )
+    for cut in cut_family.values():
+        if cut.source != source or cut.target != target:
+            raise SpaceMismatch("cut family members live over different spaces")
+    g = np.full((source.full, target.full), lattice.bottom, dtype=np.intp)
+    for a in source.subsets():
+        for b in target.subsets():
+            g[a - 1, b - 1] = lattice.family_join(
+                alpha for alpha, cut in cut_family.items() if cut.contains(a, b)
+            )
+    rep = LFuzzyAmbRep(source, target, lattice, g)
+    for alpha, cut in cut_family.items():
+        again = alpha_cut_per_pair(rep, alpha)
+        if again != cut:
+            rows_diff = [
+                (a, b)
+                for a in source.subsets()
+                for b in target.subsets()
+                if again.contains(a, b) != cut.contains(a, b)
+            ]
+            a, b = rows_diff[0]
+            raise ValidationError(
+                "CutFamilyInconsistent",
+                "cut family is not reproduced by its own grades",
+                witness=[
+                    lattice.elements[alpha],
+                    list(source.labels(a)),
+                    list(target.labels(b)),
+                ],
+            )
+    return rep
+
+
+def fuzzy_sms_intersection(rep: LFuzzyAmbRep) -> LFuzzyAmbRep:
+    """``fuzzy.sms`` by its defining formula: the cut at ``alpha`` is the
+    intersection of the crisp pseudo-inverses of the cuts at every
+    ``beta <= alpha``; the zero cut is the full relation."""
+    lat = rep.lattice
+    X, Y = rep.source, rep.target
+    base = {alpha: crisp.sms(alpha_cut_per_pair(rep, alpha)) for alpha in range(lat.size)}
+    formula_cuts: dict[int, CrispAmbRep] = {}
+    for alpha in range(lat.size):
+        rows = list(crisp.top(Y, X).rows)
+        for beta in range(lat.size):
+            if lat.le(beta, alpha):
+                rows = [r & s for r, s in zip(rows, base[beta].rows)]
+        formula_cuts[alpha] = CrispAmbRep(Y, X, tuple(rows))
+    cut_family = {alpha: formula_cuts[alpha] for alpha in range(lat.size)}
+    cut_family[lat.bottom] = crisp.top(Y, X)
+    return from_cuts_per_pair(Y, X, lat, cut_family)
+
+
+def capacity_of_per_set(rep: LFuzzyAmbRep, a: int) -> LCapacity:
+    """``capacity.capacity_of`` by reading the fiber one target set at a time."""
+    if not 1 <= a <= rep.source.full:
+        raise ValidationError("BadSubset", f"source subset mask {a} out of range")
+    values = [rep.lattice.bottom] * (rep.target.full + 1)
+    for b in rep.target.subsets():
+        values[b] = rep.grade(a, b)
+    return LCapacity(rep.target, rep.lattice, values)
+
+
+def validate_capacity_loops(space: FiniteSpace, lattice: FiniteLattice, values) -> LCapacity:
+    """``capacity.validate_capacity`` by a loop over sets and one-point
+    extensions."""
+    cap = LCapacity(space, lattice, values)
+    v = cap.values
+    if v[0] != lattice.bottom or v[space.full] != lattice.top:
+        raise ValidationError(
+            "BadBounds",
+            "the empty set must get bottom and the whole space top",
+            witness=[lattice.elements[int(v[0])], lattice.elements[int(v[space.full])]],
+        )
+    for f in range(space.full + 1):
+        for i in range(space.size):
+            g = f | (1 << i)
+            if g != f and not lattice.le(int(v[f]), int(v[g])):
+                raise ValidationError(
+                    "NotMonotone",
+                    "values must rise with the set",
+                    witness=[list(space.labels(f)), list(space.labels(g))],
+                )
+    return cap
+
+
+def validate_subgraph_loops(
+    space: FiniteSpace, lattice: FiniteLattice, pairs: Iterable[tuple[int, int]]
+) -> LCapacity:
+    """``capacity.validate_subgraph`` by membership tests on the pair set,
+    walking the set and its per-set grade sets in their own order."""
+    pset = set(pairs)
+    for f, alpha in pset:
+        if not 1 <= f <= space.full or not 0 <= alpha < lattice.size:
+            raise ValidationError("BadPair", f"pair ({f}, {alpha}) out of range")
+    for f in space.subsets():
+        if (f, lattice.bottom) not in pset:
+            raise ValidationError(
+                "MissingFloor",
+                "every nonempty set must appear at grade bottom",
+                witness=[list(space.labels(f)), lattice.elements[lattice.bottom]],
+            )
+    for alpha in range(lattice.size):
+        if (space.full, alpha) not in pset:
+            raise ValidationError(
+                "MissingFloor",
+                "the whole space must appear at every grade",
+                witness=[list(space.labels(space.full)), lattice.elements[alpha]],
+            )
+    for f, alpha in pset:
+        for g in space.subsets():
+            if f & g != f:
+                continue
+            for beta in range(lattice.size):
+                if lattice.le(beta, alpha) and (g, beta) not in pset:
+                    raise ValidationError(
+                        "NotDownSetInAlpha",
+                        "subgraphs grow with the set and shrink with the grade",
+                        witness=[
+                            list(space.labels(f)),
+                            lattice.elements[alpha],
+                            list(space.labels(g)),
+                            lattice.elements[beta],
+                        ],
+                    )
+    by_set: dict[int, set[int]] = {f: set() for f in space.subsets()}
+    for f, alpha in pset:
+        by_set[f].add(alpha)
+    for f, grades_f in by_set.items():
+        for g, grades_g in by_set.items():
+            for alpha in grades_f:
+                for beta in grades_g:
+                    if (f | g, lattice.join(alpha, beta)) not in pset:
+                        raise ValidationError(
+                            "UnionJoinViolated",
+                            "grades of a union must reach the join of the parts",
+                            witness=[
+                                list(space.labels(f)),
+                                lattice.elements[alpha],
+                                list(space.labels(g)),
+                                lattice.elements[beta],
+                            ],
+                        )
+    values = [lattice.bottom] * (space.full + 1)
+    for f in space.subsets():
+        values[f] = lattice.family_join(by_set[f])
+    cap = validate_capacity_loops(space, lattice, values)
+    if capacity_subgraph(cap) != pset:
+        raise ValidationError(
+            "NotASubgraph", "pair set is not reproduced by its own capacity", witness=None
+        )
+    return cap

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from ambrel import fuzzy
+from ambrel import fuzzy, oracle
 from ambrel.capacity import (
     capacities_of,
     capacity_of,
@@ -9,8 +11,21 @@ from ambrel.capacity import (
     validate_capacity,
     validate_subgraph,
 )
+from ambrel.catalog import boolean_square, chain
 from ambrel.errors import ValidationError
 from ambrel.generators import random_capacity, random_fuzzy_rep
+from ambrel.hyperspace import space
+
+# the six lattices of the benchmark
+TWIN_LATTICES = (chain(2), chain(3), chain(4), chain(8), chain(16), boolean_square())
+
+
+def outcome(fn, *args):
+    """The result, or the code, witness and message of the ValidationError."""
+    try:
+        return fn(*args)
+    except ValidationError as err:
+        return err.code, err.witness, str(err)
 
 
 def test_minimal_and_maximal_capacities(y2, chain3):
@@ -112,3 +127,55 @@ def test_subgraph_error_codes(y2, chain3, square):
     with pytest.raises(ValidationError) as err:
         validate_subgraph(y2, square, broken)
     assert err.value.code == "UnionJoinViolated"
+
+
+def _perturbed_pairs(rng, space_, lat, pairs):
+    pairs = set(pairs)
+    mode = rng.randrange(4)
+    if mode == 0:  # one pair dropped
+        pairs.discard(rng.choice(sorted(pairs)))
+    elif mode == 1:  # one pair added, possibly out of range
+        pairs.add((rng.randrange(space_.full + 2), rng.randrange(-1, lat.size + 1)))
+    elif mode == 2:  # grades added at one set together with what they require
+        f = rng.randrange(1, space_.full + 1)
+        for alpha in rng.sample(range(lat.size), min(2, lat.size)):
+            pairs.update(
+                (g, beta)
+                for g in space_.subsets()
+                if f & g == f
+                for beta in range(lat.size)
+                if lat.le(beta, alpha)
+            )
+    listed = sorted(pairs)
+    rng.shuffle(listed)
+    return listed
+
+
+def test_capacity_kernels_match_oracle_twins():
+    codes = set()
+    for lat in TWIN_LATTICES:
+        for n in (1, 2, 3, 4):
+            Y = space(*(f"y{i}" for i in range(1, n + 1)))
+            X = space("x1", "x2")
+            for seed in range(12):
+                rng = random.Random(f"{lat.size}-{n}-{seed}")
+                rep = random_fuzzy_rep(X, Y, lat, seed, 0.4)
+                for a in range(X.full + 2):  # 0 and X.full + 1 are out of range
+                    got = outcome(capacity_of, rep, a)
+                    assert got == outcome(oracle.capacity_of_per_set, rep, a)
+                cap = random_capacity(Y, lat, seed)
+                values = list(cap.values)
+                for _ in range(rng.randint(0, 2)):
+                    values[rng.randrange(Y.full + 1)] = rng.randrange(lat.size)
+                got_values = outcome(validate_capacity, Y, lat, values)
+                assert got_values == outcome(oracle.validate_capacity_loops, Y, lat, values)
+                pairs = _perturbed_pairs(rng, Y, lat, capacity_subgraph(cap))
+                got_pairs = outcome(validate_subgraph, Y, lat, pairs)
+                assert got_pairs == outcome(oracle.validate_subgraph_loops, Y, lat, pairs)
+                codes.update(
+                    out[0] for out in (got, got_values, got_pairs) if isinstance(out, tuple)
+                )
+    assert codes == {
+        "BadSubset", "BadBounds", "NotMonotone", "BadPair", "MissingFloor",
+        "NotDownSetInAlpha", "UnionJoinViolated",
+    }

@@ -199,11 +199,6 @@ def test_rough_unavoidability_equivalence():
                 assert (c in unavoid) == meets
 
 
-def test_strict_open_predicates_degenerate(x2, y2, R0):
-    assert crisp.is_strict(R0) and crisp.is_open(R0)
-    assert crisp.is_strict(crisp.top(x2, y2)) and crisp.is_open(crisp.bot(x2, y2))
-
-
 def test_enumeration_counts(x2, y2):
     assert len(all_inclusion_hyperspaces(y2)) == 4
     assert sum(1 for _ in all_crisp_reps(x2, y2)) == 25

@@ -1,11 +1,27 @@
+import random
+
 import numpy as np
 import pytest
 
-from ambrel import crisp, fuzzy
-from ambrel.catalog import lukasiewicz
+from ambrel import crisp, fuzzy, oracle
+from ambrel.catalog import boolean_square, chain, lukasiewicz
+from ambrel.crisp import CrispAmbRep
 from ambrel.errors import LatticeIsChain, SpaceMismatch, ValidationError
 from ambrel.generators import random_fuzzy_rep, random_rep
+from ambrel.hyperspace import space
 from ambrel.lattice import meet_tnorm
+
+# the six lattices of the benchmark, and source x target sizes of 1-4 points
+TWIN_LATTICES = (chain(2), chain(3), chain(4), chain(8), chain(16), boolean_square())
+TWIN_SHAPES = ((1, 1), (1, 3), (2, 2), (3, 1), (2, 4), (3, 3), (4, 2), (4, 4))
+
+
+def outcome(fn, *args):
+    """The result, or the code, witness and message of the ValidationError."""
+    try:
+        return fn(*args)
+    except ValidationError as err:
+        return err.code, err.witness, str(err)
 
 
 def test_canonical_reps_validate(x2, y2, chain3):
@@ -210,3 +226,71 @@ def test_lattice_mismatch(x2, y2, chain3, square):
     s = random_fuzzy_rep(x2, y2, square, 1, 0.5)
     with pytest.raises(SpaceMismatch):
         fuzzy.join(r, s)
+
+
+def _perturbed_family(rng, rep):
+    family = fuzzy.cuts(rep)
+    keys = list(family)
+    rng.shuffle(keys)  # witnesses follow the family's own order
+    family = {alpha: family[alpha] for alpha in keys}
+    mode = rng.randrange(4)
+    alpha = rng.choice(keys)
+    if mode == 0:  # one pair added to or dropped from one cut
+        rows = list(family[alpha].rows)
+        a = rng.randrange(rep.source.full)
+        rows[a] ^= 1 << rng.randrange(rep.target.full)
+        family[alpha] = CrispAmbRep(rep.source, rep.target, tuple(rows))
+    elif mode == 1:  # one cut replaced by another
+        family[alpha] = family[rng.choice(keys)]
+    elif mode == 2 and len(keys) > 1:  # one index missing
+        del family[alpha]
+    return family
+
+
+def test_graded_kernels_match_oracle_twins():
+    codes = set()
+    for lat in TWIN_LATTICES:
+        for n_src, n_tgt in TWIN_SHAPES:
+            X = space(*(f"x{i}" for i in range(1, n_src + 1)))
+            Y = space(*(f"y{i}" for i in range(1, n_tgt + 1)))
+            for seed in range(8):
+                rng = random.Random(f"{lat.size}-{n_src}-{n_tgt}-{seed}")
+                rep = random_fuzzy_rep(X, Y, lat, seed, rng.choice((0.2, 0.4, 0.7)))
+                inv = fuzzy.sms(rep)
+                assert inv == oracle.fuzzy_sms_intersection(rep)
+                for alpha in range(lat.size):
+                    if alpha != lat.bottom:
+                        want = crisp.sms(fuzzy.alpha_cut(rep, alpha))
+                        assert fuzzy.alpha_cut(inv, alpha) == want
+                g = rep.grades.copy()
+                for _ in range(rng.randint(1, 3)):
+                    g[rng.randrange(X.full), rng.randrange(Y.full)] = rng.randrange(lat.size)
+                raw = fuzzy.LFuzzyAmbRep(X, Y, lat, g)
+                for alpha in range(lat.size):
+                    assert fuzzy.alpha_cut(raw, alpha) == oracle.alpha_cut_per_pair(raw, alpha)
+                got = outcome(fuzzy.validate, X, Y, lat, g)
+                assert got == outcome(oracle.fuzzy_validate_loops, X, Y, lat, g)
+                family = _perturbed_family(rng, rep)
+                got_cuts = outcome(fuzzy.from_cuts, X, Y, lat, family)
+                assert got_cuts == outcome(oracle.from_cuts_per_pair, X, Y, lat, family)
+                codes.update(out[0] for out in (got, got_cuts) if isinstance(out, tuple))
+    assert codes == {"FullTargetNotTop", "NotIsotoneInB", "NotAntitoneInA", "CutFamilyInconsistent"}
+
+
+def test_six_point_cut_roundtrip_uses_bit_62():
+    X = space(*"abcdef")
+    Y = space(*"uvwxyz")
+    lat = chain(3)
+    rep = random_fuzzy_rep(X, Y, lat, 3, 0.35)
+    family = fuzzy.cuts(rep)
+    # the whole target is subset mask 63, bit 62, and lies in every cut
+    assert all(row >> 62 == 1 for cut in family.values() for row in cut.rows)
+    assert family == {alpha: oracle.alpha_cut_per_pair(rep, alpha) for alpha in range(lat.size)}
+    assert fuzzy.from_cuts(X, Y, lat, family) == rep
+    m = lat.index("m")
+    rows = list(family[m].rows)
+    rows[5] ^= 1 << 62
+    family[m] = CrispAmbRep(X, Y, tuple(rows))
+    got = outcome(fuzzy.from_cuts, X, Y, lat, family)
+    assert got == outcome(oracle.from_cuts_per_pair, X, Y, lat, family)
+    assert got[0] == "CutFamilyInconsistent" and got[1][2] == list(Y.points)

@@ -93,6 +93,23 @@ def test_graded_empty_subset_rejected(a_labels, b_labels):
     assert info.value.witness == [a_labels, b_labels]
 
 
+def _duplicated_payload(first_labels, second_labels):
+    payload = _graded_payload(first_labels, ["y1"])
+    payload["grades"].append([second_labels, ["y1"], "0"])
+    return payload
+
+
+DUPLICATES = [(["x1"], ["x1"]), (["x1", "x2"], ["x2", "x1"])]
+
+
+@pytest.mark.parametrize("first_labels, second_labels", DUPLICATES)
+def test_graded_duplicate_pair_rejected(first_labels, second_labels):
+    with pytest.raises(ValidationError) as info:
+        io.fuzzy_rep_from(_duplicated_payload(first_labels, second_labels))
+    assert info.value.code == "DuplicatePair"
+    assert info.value.witness == [first_labels, ["y1"]]
+
+
 # -- command line -----------------------------------------------------------
 
 
@@ -139,6 +156,16 @@ def test_cli_validate_rejects_empty_subset(tmp_path, capsys, a_labels, b_labels)
     code, out = run_cli(capsys, "validate", "--rep", str(path))
     assert code == 1
     assert json.loads(out)["error"] == "BadPair"
+
+
+@pytest.mark.parametrize("first_labels, second_labels", DUPLICATES)
+def test_cli_validate_rejects_duplicate_pair(tmp_path, capsys, first_labels, second_labels):
+    path = tmp_path / "duplicate.json"
+    path.write_text(json.dumps(_duplicated_payload(first_labels, second_labels)))
+    code, out = run_cli(capsys, "validate", "--rep", str(path))
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == "DuplicatePair" and report["witness"] == [first_labels, ["y1"]]
 
 
 def test_cli_compose_cut_capacity_unavoidable(tmp_path, capsys):

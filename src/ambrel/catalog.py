@@ -111,10 +111,6 @@ def all_crisp_reps(source: FiniteSpace, target: FiniteSpace) -> Iterator[CrispAm
     yield from fill(1)
 
 
-def count_crisp_reps(source: FiniteSpace, target: FiniteSpace) -> int:
-    return sum(1 for _ in all_crisp_reps(source, target))
-
-
 def all_partitions(labels: tuple[str, ...]) -> Iterator[tuple[tuple[str, ...], ...]]:
     """All set partitions of the given labels."""
     if not labels:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import SpaceMismatch, ValidationError
 from .hyperspace import (
     FiniteSpace,
@@ -24,6 +26,7 @@ from .hyperspace import (
     traversal,
     upward_closure,
     _meets_table,
+    _pack,
     _superset_table,
 )
 
@@ -47,13 +50,6 @@ class CrispAmbRep:
         for a in self.source.subsets():
             for b in members(self.rows[a - 1]):
                 yield a, b
-
-    def pair_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
-
-    def antichain_map(self) -> dict[int, tuple[int, ...]]:
-        """Minimal admissible sets per source subset (compact canonical view)."""
-        return {a: antichain(self.target, self.rows[a - 1]) for a in self.source.subsets()}
 
     def __le__(self, other: "CrispAmbRep") -> bool:
         _same_spaces(self, other)
@@ -295,21 +291,6 @@ def lower_approx(space: FiniteSpace, partition, a: int) -> int:
 def rough_rep(space: FiniteSpace, partition) -> CrispAmbRep:
     """Indiscernibility representation: ``(A, B)`` related iff the upper
     approximation of ``A`` is contained in the upper approximation of ``B``."""
-    masks = _class_masks(space, partition)
-
-    def upper(a: int) -> int:
-        out = 0
-        for m in masks:
-            if m & a:
-                out |= m
-        return out
-
-    uppers = [upper(a) for a in space.subsets()]
-    rows = []
-    for a in space.subsets():
-        fam = 0
-        for b in space.subsets():
-            if uppers[a - 1] & ~uppers[b - 1] == 0:
-                fam |= 1 << (b - 1)
-        rows.append(fam)
-    return CrispAmbRep(space, space, tuple(rows))
+    uppers = np.array([upper_approx(space, partition, a) for a in space.subsets()])
+    rows = _pack(uppers[:, None] & ~uppers[None, :] == 0, space)
+    return CrispAmbRep(space, space, tuple(rows.tolist()))

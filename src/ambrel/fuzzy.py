@@ -18,7 +18,7 @@ import numpy as np
 from . import crisp
 from .crisp import CrispAmbRep
 from .errors import LatticeIsChain, SpaceMismatch, ValidationError
-from .hyperspace import FiniteSpace, _bit_weights, _grow_index, _shrink_index
+from .hyperspace import FiniteSpace, _grow_index, _pack, _shrink_index, _superset_matrix, _unpack
 from .lattice import FiniteLattice, TNormTable, meet_tnorm
 
 
@@ -152,19 +152,13 @@ def bot(source: FiniteSpace, target: FiniteSpace, lattice: FiniteLattice) -> LFu
 
 
 def identity(space: FiniteSpace, lattice: FiniteLattice) -> LFuzzyAmbRep:
-    g = np.full((space.full, space.full), lattice.bottom, dtype=np.intp)
-    for a in space.subsets():
-        for b in space.subsets():
-            if a & b == a:
-                g[a - 1, b - 1] = lattice.top
+    g = np.where(_superset_matrix(space), lattice.top, lattice.bottom)
     return LFuzzyAmbRep(space, space, lattice, g)
 
 
 def embed_crisp(rep: CrispAmbRep, lattice: FiniteLattice) -> LFuzzyAmbRep:
     """Two-valued embedding: related pairs get top, the rest bottom."""
-    g = np.full((rep.source.full, rep.target.full), lattice.bottom, dtype=np.intp)
-    for a, b in rep.pairs():
-        g[a - 1, b - 1] = lattice.top
+    g = np.where(_unpack(rep.rows, rep.target), lattice.top, lattice.bottom)
     return LFuzzyAmbRep(rep.source, rep.target, lattice, g)
 
 
@@ -174,8 +168,7 @@ def embed_crisp(rep: CrispAmbRep, lattice: FiniteLattice) -> LFuzzyAmbRep:
 def alpha_cut(rep: LFuzzyAmbRep, alpha: int) -> CrispAmbRep:
     """Pairs graded at least ``alpha``; a valid crisp representation for
     every ``alpha``."""
-    held = rep.lattice.leq[alpha][rep.grades]
-    rows = held @ _bit_weights(rep.target)
+    rows = _pack(rep.lattice.leq[alpha][rep.grades], rep.target)
     return CrispAmbRep(rep.source, rep.target, tuple(rows.tolist()))
 
 
@@ -203,8 +196,7 @@ def from_cuts(
     for cut in cut_family.values():
         if cut.source != source or cut.target != target:
             raise SpaceMismatch("cut family members live over different spaces")
-    rows = np.array([cut.rows for cut in cut_family.values()], dtype=np.int64)
-    held = rows[:, :, None] & _bit_weights(target) != 0
+    held = _unpack([cut.rows for cut in cut_family.values()], target)
     g = np.full((source.full, target.full), lattice.bottom, dtype=np.intp)
     for alpha, in_cut in zip(cut_family, held):
         g[in_cut] = lattice.join_table[g[in_cut], alpha]

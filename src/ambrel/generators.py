@@ -21,7 +21,7 @@ from .capacity import LCapacity, validate_capacity
 from .crisp import CrispAmbRep
 from .errors import ValidationError
 from .fuzzy import LFuzzyAmbRep
-from .hyperspace import FiniteSpace
+from .hyperspace import FiniteSpace, _pack
 from .lattice import FiniteLattice
 from .catalog import chain
 
@@ -207,21 +207,16 @@ def translation_rep(g: GridWindow, grades: FiniteLattice | None = None) -> LFuzz
 def projection_rep(g: GridWindow) -> CrispAmbRep:
     """Shadow relation: (A, B) related iff every column of A is a column of B."""
     inner, outer = g.inner_space(), g.outer_space()
-    in_cols = [x for x, _ in g.inner_cells()]
-    out_cols = [x for x, _ in g.outer_cells()]
 
-    def colset(mask: int, cols: list[int]) -> frozenset[int]:
-        return frozenset(c for i, c in enumerate(cols) if mask >> i & 1)
+    def column_sets(space: FiniteSpace, cells) -> np.ndarray:
+        # column_sets(...)[s - 1] = bitmask of the grid columns subset s meets
+        has_point = np.arange(1, space.full + 1)[:, None] >> np.arange(space.size) & 1 != 0
+        column_bits = 1 << np.array([x for x, _ in cells])
+        return np.bitwise_or.reduce(np.where(has_point, column_bits, 0), axis=1)
 
-    rows = []
-    for a in inner.subsets():
-        ca = colset(a, in_cols)
-        fam = 0
-        for b in outer.subsets():
-            if ca <= colset(b, out_cols):
-                fam |= 1 << (b - 1)
-        rows.append(fam)
-    return crisp.validate_rows(inner, outer, rows)
+    ca, cb = column_sets(inner, g.inner_cells()), column_sets(outer, g.outer_cells())
+    rows = _pack(ca[:, None] & ~cb[None, :] == 0, outer)
+    return crisp.validate_rows(inner, outer, rows.tolist())
 
 
 # -- seeded random builders -----------------------------------------------------

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import SpaceMismatch, SpaceTooLarge
 from .fuzzy import LFuzzyAmbRep
-from .hyperspace import FiniteSpace, _superset_table
+from .hyperspace import FiniteSpace, _bit_weights, _frozen, _pack, _superset_matrix, _unpack
 from .lattice import FiniteLattice
 
 MAX_ENCODE_POINTS = 3
@@ -138,25 +138,10 @@ def _gate(source: FiniteSpace, lattice: FiniteLattice) -> None:
 
 @lru_cache(maxsize=None)
 def _covers(space: FiniteSpace) -> np.ndarray:
-    # _covers(X)[fam] = subset mask (over nonempty subsets) of the sets that
-    # some member of the family refines (is contained in)
-    sup = _superset_table(space)
-    out = [0] * (1 << space.full)
-    for fam in range(1, 1 << space.full):
-        low = fam & -fam
-        rest = fam ^ low
-        out[fam] = out[rest] | sup[low.bit_length() - 1]
-    covers = np.array(out, dtype=np.intp)
-    covers.setflags(write=False)
-    return covers
-
-
-@lru_cache(maxsize=None)
-def _singleton_rows(space: FiniteSpace) -> np.ndarray:
-    # row of the one-member family {a} for a = 1 .. space.full, in order
-    rows = 1 << np.arange(space.full, dtype=np.intp)
-    rows.setflags(write=False)
-    return rows
+    # _covers(X)[fam] = family mask of the sets that some member of the
+    # family refines (is contained in), for every family mask fam
+    held = _unpack(np.arange(1 << space.full), space)
+    return _frozen(_pack(held @ _superset_matrix(space), space))
 
 
 def refinement_hyperspace(space: FiniteSpace, family: int) -> tuple[int, ...]:
@@ -316,15 +301,11 @@ def encode(rep: LFuzzyAmbRep) -> TernaryHyperRelation:
 
 
 def _singletons(masks: np.ndarray, source: FiniteSpace) -> np.ndarray:
-    rows = _singleton_rows(source)
+    # the triples whose family is a single subset
+    rows = _bit_weights(source)
     m = np.zeros_like(masks)
     m[rows] = masks[rows]
     return m
-
-
-def singleton_part(t: TernaryHyperRelation) -> TernaryHyperRelation:
-    """Restriction to triples whose family is a single subset."""
-    return TernaryHyperRelation(t.source, t.target, t.lattice, _singletons(t.masks, t.source))
 
 
 def bullet(rep: LFuzzyAmbRep) -> TernaryHyperRelation:
@@ -332,7 +313,7 @@ def bullet(rep: LFuzzyAmbRep) -> TernaryHyperRelation:
     _gate(rep.source, rep.lattice)
     down = _grade_tables(rep.lattice).down
     m = np.zeros((1 << rep.source.full, rep.target.full + 1), dtype=np.uint8)
-    m[_singleton_rows(rep.source), 1:] = down[1 << rep.grades]
+    m[_bit_weights(rep.source), 1:] = down[1 << rep.grades]
     return TernaryHyperRelation(rep.source, rep.target, rep.lattice, m)
 
 
@@ -340,7 +321,7 @@ def _decode(
     masks: np.ndarray, source: FiniteSpace, target: FiniteSpace, lattice: FiniteLattice
 ) -> LFuzzyAmbRep:
     join_of = _grade_tables(lattice).join_of
-    return LFuzzyAmbRep(source, target, lattice, join_of[masks[_singleton_rows(source), 1:]])
+    return LFuzzyAmbRep(source, target, lattice, join_of[masks[_bit_weights(source), 1:]])
 
 
 def decode(t: TernaryHyperRelation) -> LFuzzyAmbRep:

@@ -93,58 +93,58 @@ def members(family: int) -> Iterator[int]:
         s += 1
 
 
-def family_size(family: int) -> int:
-    return family.bit_count()
-
-
 def full_family(space: FiniteSpace) -> int:
     """The family of all nonempty subsets."""
     return (1 << space.full) - 1
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=None)
+def _bit_weights(space: FiniteSpace) -> np.ndarray:
+    # _bit_weights(X)[s - 1] = 1 << (s - 1), the bit of subset s in a family
+    # mask (bit 62 at most, so int64 holds every family)
+    return _frozen(np.left_shift(1, np.arange(space.full, dtype=np.int64)))
+
+
+def _pack(held: np.ndarray, space: FiniteSpace) -> np.ndarray:
+    """Family masks of boolean rows: bit ``s - 1`` of each mask is
+    ``held[..., s - 1]``, over the nonempty subsets ``s`` of ``space``."""
+    return held @ _bit_weights(space)
+
+
+def _unpack(families, space: FiniteSpace) -> np.ndarray:
+    """The boolean rows of family masks; inverse of :func:`_pack`."""
+    return np.asarray(families, dtype=np.int64)[..., None] & _bit_weights(space) != 0
+
+
+@lru_cache(maxsize=None)
+def _superset_matrix(space: FiniteSpace) -> np.ndarray:
+    # _superset_matrix(X)[s - 1, t - 1] = whether s <= t, over nonempty masks
+    masks = np.arange(1, space.full + 1)
+    return _frozen(masks[:, None] & masks[None, :] == masks[:, None])
+
+
 @lru_cache(maxsize=None)
 def _superset_table(space: FiniteSpace) -> tuple[int, ...]:
     # _superset_table(X)[s - 1] = family mask of all supersets of s
-    table = []
-    for s in space.subsets():
-        fam = 0
-        for t in space.subsets():
-            if t & s == s:
-                fam |= 1 << (t - 1)
-        table.append(fam)
-    return tuple(table)
+    return tuple(_pack(_superset_matrix(space), space).tolist())
 
 
 @lru_cache(maxsize=None)
 def _subset_table(space: FiniteSpace) -> tuple[int, ...]:
     # _subset_table(X)[s - 1] = family mask of all nonempty subsets of s
-    table = []
-    for s in space.subsets():
-        fam = 0
-        t = s
-        while t:
-            fam |= 1 << (t - 1)
-            t = (t - 1) & s
-        table.append(fam)
-    return tuple(table)
+    return tuple(_pack(_superset_matrix(space).T, space).tolist())
 
 
 @lru_cache(maxsize=None)
 def _meets_table(space: FiniteSpace) -> tuple[int, ...]:
     # _meets_table(X)[s - 1] = family mask of all subsets intersecting s
-    table = []
-    for s in space.subsets():
-        fam = 0
-        for t in space.subsets():
-            if t & s:
-                fam |= 1 << (t - 1)
-        table.append(fam)
-    return tuple(table)
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+    masks = np.arange(1, space.full + 1)
+    return tuple(_pack(masks[:, None] & masks[None, :] != 0, space).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -160,20 +160,6 @@ def _shrink_index(space: FiniteSpace) -> np.ndarray:
     masks = np.arange(space.full + 1)[:, None]
     smaller = masks & ~(1 << np.arange(space.size))
     return _frozen(np.where(smaller == 0, masks, smaller))
-
-
-@lru_cache(maxsize=None)
-def _bit_weights(space: FiniteSpace) -> np.ndarray:
-    # _bit_weights(X)[s - 1] = 1 << (s - 1): packs a boolean row over the
-    # nonempty subsets into a family mask (bit 62 at most, so int64 holds it)
-    return _frozen(np.left_shift(1, np.arange(space.full, dtype=np.int64)))
-
-
-@lru_cache(maxsize=None)
-def _superset_matrix(space: FiniteSpace) -> np.ndarray:
-    # _superset_matrix(X)[s - 1, t - 1] = whether s <= t, over nonempty masks
-    masks = np.arange(1, space.full + 1)
-    return _frozen(masks[:, None] & masks[None, :] == masks[:, None])
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +237,4 @@ class InclusionHyperspace:
         return any(m & subset == m for m in self.minimal)
 
     def __len__(self) -> int:
-        return family_size(self.family)
-
-    def member_masks(self) -> list[int]:
-        return list(members(self.family))
+        return self.family.bit_count()

@@ -18,7 +18,7 @@ from .capacity import LCapacity, validate_capacity
 from .crisp import CrispAmbRep
 from .errors import MalformedInput, ValidationError
 from .fuzzy import LFuzzyAmbRep
-from .hyperspace import FiniteSpace, members
+from .hyperspace import FiniteSpace, family_of, members
 from .hyperencoding import TernaryHyperRelation
 from .lattice import FiniteLattice, TNormTable, validate_lattice, validate_tnorm
 
@@ -235,9 +235,7 @@ def hyper_from(payload) -> TernaryHyperRelation:
     triples = []
     try:
         for fam_labels, b_labels, g_label in payload["triples"]:
-            fam = 0
-            for a_labels in fam_labels:
-                fam |= 1 << (subset_from(source, a_labels) - 1)
+            fam = family_of(subset_from(source, a_labels) for a_labels in fam_labels)
             triples.append((fam, subset_from(target, b_labels), lat.index(g_label)))
     except (TypeError, ValueError, KeyError) as e:
         raise MalformedInput(f"bad triple list: {e}") from None

@@ -2,7 +2,7 @@
 
 A lattice is given by its full order matrix, not a Hasse diagram: the
 matrix is unambiguous and cheap to validate exhaustively at the sizes
-this package works with (``MAX_LATTICE`` elements by default).
+this package works with (at most ``MAX_LATTICE`` elements).
 """
 
 from __future__ import annotations
@@ -72,9 +72,6 @@ class FiniteLattice:
             acc = int(self.meet_table[acc, x])
         return acc
 
-    def down_set(self, a: int) -> list[int]:
-        return [b for b in range(self.size) if self.leq[b, a]]
-
     def is_chain(self) -> bool:
         n = self.size
         return all(self.leq[a, b] or self.leq[b, a] for a in range(n) for b in range(n))
@@ -103,9 +100,7 @@ class FiniteLattice:
         return f"FiniteLattice({list(self.elements)})"
 
 
-def validate_lattice(
-    elements: Sequence[str], leq: Sequence[Sequence[bool]], max_size: int = MAX_LATTICE
-) -> FiniteLattice:
+def validate_lattice(elements: Sequence[str], leq: Sequence[Sequence[bool]]) -> FiniteLattice:
     """Check a candidate order matrix and derive the join/meet tables.
 
     Raises :class:`ValidationError` naming the first violated axiom with a
@@ -118,8 +113,8 @@ def validate_lattice(
         raise ValidationError("EmptyLattice", "a lattice needs at least one element")
     if len(set(elements)) != n:
         raise ValidationError("DuplicateElement", f"duplicate labels in {elements}")
-    if n > max_size:
-        raise ValidationError("LatticeTooLarge", f"at most {max_size} elements, got {n}")
+    if n > MAX_LATTICE:
+        raise ValidationError("LatticeTooLarge", f"at most {MAX_LATTICE} elements, got {n}")
     mat = np.asarray(leq, dtype=bool)
     if mat.shape != (n, n):
         raise ValidationError("BadMatrix", f"leq must be {n}x{n}, got {mat.shape}")

@@ -238,7 +238,6 @@ def check_laws(
     x: FiniteSpace,
     y: FiniteSpace,
     z: FiniteSpace,
-    sampler: Callable[[FiniteSpace, FiniteSpace, int], CrispAmbRep] | None = None,
     trials: int = 200,
     exhaustive: bool = False,
     seed: int = 0,
@@ -249,7 +248,7 @@ def check_laws(
     report content, carried as full witnesses.  Exhaustive mode stops a
     law's enumeration at its first witness (the count says how far it got).
     """
-    sampler = sampler or crisp_sampler(seed)
+    sampler = crisp_sampler(seed)
     results: dict[str, LawResult] = {}
     for name, asserted, homs, evaluator in _CRISP_LAWS:
         res = LawResult(name, asserted)

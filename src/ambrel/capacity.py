@@ -56,9 +56,18 @@ class LCapacity:
 
 
 def validate_capacity(space: FiniteSpace, lattice: FiniteLattice, values) -> LCapacity:
-    """Check the bounds and monotonicity of a candidate value table."""
+    """Check the entries are element indices (``BadValueTable``), then the
+    bounds and monotonicity of a candidate value table."""
     cap = LCapacity(space, lattice, values)
     v = cap.values
+    outside = (v < 0) | (v >= lattice.size)
+    if outside.any():
+        f = int(outside.argmax())
+        raise ValidationError(
+            "BadValueTable",
+            f"values must be element indices 0..{lattice.size - 1}",
+            witness=[list(space.labels(f)), int(v[f])],
+        )
     if v[0] != lattice.bottom or v[space.full] != lattice.top:
         raise ValidationError(
             "BadBounds",

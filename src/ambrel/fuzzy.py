@@ -87,14 +87,26 @@ def validate(
 ) -> LFuzzyAmbRep:
     """Validate a grade table.
 
-    Checks the full-target column is constantly top (``FullTargetNotTop``),
-    grades rise with the target set (``NotIsotoneInB``) and fall with the
-    source set (``NotAntitoneInA``).  Join-closure of the induced triple
-    set is automatic for tables recovered by maxima, and the zero floor is
-    part of the subgraph reading rather than a table property.
+    Checks every entry is an element index (``BadGradeTable``), the
+    full-target column is constantly top (``FullTargetNotTop``), grades
+    rise with the target set (``NotIsotoneInB``) and fall with the source
+    set (``NotAntitoneInA``).  Join-closure of the induced triple set is
+    automatic for tables recovered by maxima, and the zero floor is part of
+    the subgraph reading rather than a table property.
     """
-    rep = LFuzzyAmbRep(source, target, lattice, grades)
-    g = rep.grades
+    return _checked(LFuzzyAmbRep(source, target, lattice, grades))
+
+
+def _checked(rep: LFuzzyAmbRep) -> LFuzzyAmbRep:
+    source, target, lattice, g = rep.source, rep.target, rep.lattice, rep.grades
+    outside = (g < 0) | (g >= lattice.size)
+    if outside.any():
+        a, b = (int(k) + 1 for k in np.unravel_index(outside.argmax(), outside.shape))
+        raise ValidationError(
+            "BadGradeTable",
+            f"grades must be element indices 0..{lattice.size - 1}",
+            witness=[list(source.labels(a)), list(target.labels(b)), int(g[a - 1, b - 1])],
+        )
     leq = lattice.leq
     off_top = g[:, target.full - 1] != lattice.top
     if off_top.any():
@@ -188,6 +200,7 @@ def from_cuts(
     itself: grading each pair by the join of the indices whose cut holds
     it must give back exactly the family.  Otherwise
     ``CutFamilyInconsistent`` is raised with the offending index and pair.
+    The grades must then pass the checks of :func:`validate`.
     """
     if set(cut_family) != set(range(lattice.size)):
         raise ValidationError(
@@ -219,7 +232,7 @@ def from_cuts(
                     list(target.labels(b)),
                 ],
             )
-    return rep
+    return _checked(rep)
 
 
 # -- composition -------------------------------------------------------------

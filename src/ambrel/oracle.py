@@ -239,6 +239,14 @@ def fuzzy_validate_loops(
     g = rep.grades
     leq = lattice.leq
     for a in source.subsets():
+        for b in target.subsets():
+            if not 0 <= g[a - 1, b - 1] < lattice.size:
+                raise ValidationError(
+                    "BadGradeTable",
+                    f"grades must be element indices 0..{lattice.size - 1}",
+                    witness=[list(source.labels(a)), list(target.labels(b)), int(g[a - 1, b - 1])],
+                )
+    for a in source.subsets():
         if g[a - 1, target.full - 1] != lattice.top:
             raise ValidationError(
                 "FullTargetNotTop",
@@ -299,7 +307,7 @@ def from_cuts_per_pair(
 ) -> LFuzzyAmbRep:
     """``fuzzy.from_cuts`` by joining, pair by pair, the indices whose cut
     holds the pair, then re-cutting and scanning every pair for the first
-    mismatch."""
+    mismatch, then validating the grades by loops."""
     if set(cut_family) != set(range(lattice.size)):
         raise ValidationError(
             "CutFamilyInconsistent", "need one cut per lattice element", witness=None
@@ -333,7 +341,7 @@ def from_cuts_per_pair(
                     list(target.labels(b)),
                 ],
             )
-    return rep
+    return fuzzy_validate_loops(source, target, lattice, g)
 
 
 def fuzzy_sms_intersection(rep: LFuzzyAmbRep) -> LFuzzyAmbRep:
@@ -370,6 +378,13 @@ def validate_capacity_loops(space: FiniteSpace, lattice: FiniteLattice, values) 
     extensions."""
     cap = LCapacity(space, lattice, values)
     v = cap.values
+    for f in range(space.full + 1):
+        if not 0 <= v[f] < lattice.size:
+            raise ValidationError(
+                "BadValueTable",
+                f"values must be element indices 0..{lattice.size - 1}",
+                witness=[list(space.labels(f)), int(v[f])],
+            )
     if v[0] != lattice.bottom or v[space.full] != lattice.top:
         raise ValidationError(
             "BadBounds",

@@ -172,10 +172,17 @@ def test_capacity_kernels_match_oracle_twins():
                 pairs = _perturbed_pairs(rng, Y, lat, capacity_subgraph(cap))
                 got_pairs = outcome(validate_subgraph, Y, lat, pairs)
                 assert got_pairs == outcome(oracle.validate_subgraph_loops, Y, lat, pairs)
+                wild = list(values)  # numpy would wrap a negative index silently
+                for _ in range(rng.randint(1, 2)):
+                    wild[rng.randrange(Y.full + 1)] = rng.choice((-1, lat.size))
+                got_wild = outcome(validate_capacity, Y, lat, wild)
+                assert got_wild == outcome(oracle.validate_capacity_loops, Y, lat, wild)
                 codes.update(
-                    out[0] for out in (got, got_values, got_pairs) if isinstance(out, tuple)
+                    out[0]
+                    for out in (got, got_values, got_pairs, got_wild)
+                    if isinstance(out, tuple)
                 )
     assert codes == {
-        "BadSubset", "BadBounds", "NotMonotone", "BadPair", "MissingFloor",
+        "BadSubset", "BadValueTable", "BadBounds", "NotMonotone", "BadPair", "MissingFloor",
         "NotDownSetInAlpha", "UnionJoinViolated",
     }

@@ -273,8 +273,28 @@ def test_graded_kernels_match_oracle_twins():
                 family = _perturbed_family(rng, rep)
                 got_cuts = outcome(fuzzy.from_cuts, X, Y, lat, family)
                 assert got_cuts == outcome(oracle.from_cuts_per_pair, X, Y, lat, family)
-                codes.update(out[0] for out in (got, got_cuts) if isinstance(out, tuple))
-    assert codes == {"FullTargetNotTop", "NotIsotoneInB", "NotAntitoneInA", "CutFamilyInconsistent"}
+                wild = g.copy()  # numpy would wrap a negative index silently
+                for _ in range(rng.randint(1, 2)):
+                    wild[rng.randrange(X.full), rng.randrange(Y.full)] = rng.choice((-1, lat.size))
+                got_wild = outcome(fuzzy.validate, X, Y, lat, wild)
+                assert got_wild == outcome(oracle.fuzzy_validate_loops, X, Y, lat, wild)
+                codes.update(out[0] for out in (got, got_cuts, got_wild) if isinstance(out, tuple))
+    assert codes == {
+        "BadGradeTable", "FullTargetNotTop", "NotIsotoneInB", "NotAntitoneInA",
+        "CutFamilyInconsistent",
+    }
+
+
+def test_from_cuts_rejects_a_self_reproducing_invalid_family():
+    X, Y = space("x1", "x2"), space("y1", "y2")
+    lat = chain(3)
+    family = fuzzy.cuts(fuzzy.top(X, Y, lat))
+    rows = list(family[lat.top].rows)
+    rows[0] &= ~(1 << (Y.full - 1))  # the top cut no longer holds ({x1}, Y)
+    family[lat.top] = CrispAmbRep(X, Y, tuple(rows))
+    got = outcome(fuzzy.from_cuts, X, Y, lat, family)
+    assert got == outcome(oracle.from_cuts_per_pair, X, Y, lat, family)
+    assert got[:2] == ("FullTargetNotTop", [["x1"]])
 
 
 def test_six_point_cut_roundtrip_uses_bit_62():

@@ -72,7 +72,14 @@ def lattice_payload(lat: FiniteLattice, tnorm: TNormTable | None = None) -> dict
 def lattice_from(payload) -> tuple[FiniteLattice, TNormTable | None]:
     if not isinstance(payload, dict) or "elements" not in payload or "leq" not in payload:
         raise MalformedInput("a lattice needs 'elements' and 'leq'")
-    lat = validate_lattice(payload["elements"], payload["leq"])
+    elements, leq = payload["elements"], payload["leq"]
+    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+        raise MalformedInput("lattice elements are a list of string labels")
+    if not isinstance(leq, list) or not all(
+        isinstance(row, list) and all(isinstance(x, bool) for x in row) for row in leq
+    ):
+        raise MalformedInput("'leq' is a matrix of JSON booleans")
+    lat = validate_lattice(elements, leq)
     tn = None
     if payload.get("tnorm") is not None:
         rows = payload["tnorm"]
@@ -195,12 +202,23 @@ def capacity_from(payload) -> LCapacity:
         raise MalformedInput("a capacity needs 'space', 'lattice' and 'values'")
     sp = space_from(payload["space"])
     lat, _ = lattice_from(payload["lattice"])
-    values = [lat.bottom] * (sp.full + 1)
     try:
-        for labels, g_label in payload["values"]:
-            values[sp.subset(labels) if labels else 0] = lat.index(g_label)
+        entries = [
+            (subset_from(sp, labels), lat.index(g_label)) for labels, g_label in payload["values"]
+        ]
     except (TypeError, ValueError, KeyError) as e:
         raise MalformedInput(f"bad value list: {e}") from None
+    values = [lat.bottom] * (sp.full + 1)
+    seen = set()
+    for mask, g in entries:
+        if mask in seen:
+            raise ValidationError(
+                "DuplicateSet",
+                "each set may be valued only once",
+                witness=subset_payload(sp, mask),
+            )
+        seen.add(mask)
+        values[mask] = g
     return validate_capacity(sp, lat, values)
 
 

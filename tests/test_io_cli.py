@@ -110,7 +110,46 @@ def test_graded_duplicate_pair_rejected(first_labels, second_labels):
     assert info.value.witness == [first_labels, ["y1"]]
 
 
+def test_capacity_duplicate_set_rejected(chain3):
+    payload = {
+        "space": ["y1", "y2"],
+        "lattice": io.lattice_payload(chain3),
+        "values": [[["y1"], "1"], [["y1", "y2"], "1"], [["y1"], "0"]],
+    }
+    with pytest.raises(ValidationError) as info:
+        io.capacity_from(payload)
+    assert info.value.code == "DuplicateSet"
+    assert info.value.witness == ["y1"]
+
+
+BOOL_LEQ = [[True, True], [False, True]]
+NON_SCHEMA_LATTICES = [
+    {"elements": ["0", "1"], "leq": [[True, "yes"], [False, True]]},
+    {"elements": ["0", "1"], "leq": [[True, True], ["", True]]},
+    {"elements": ["0", "1"], "leq": [[1, 1], [0, 1]]},
+    {"elements": ["0", "1"], "leq": "yes"},
+    {"elements": [0, 1], "leq": BOOL_LEQ},
+    {"elements": "01", "leq": BOOL_LEQ},
+]
+
+
+@pytest.mark.parametrize("payload", NON_SCHEMA_LATTICES)
+def test_lattice_schema_rejected(payload):
+    with pytest.raises(MalformedInput):
+        io.lattice_from(payload)
+
+
 # -- command line -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("payload", NON_SCHEMA_LATTICES)
+def test_cli_validate_lattice_schema_exits_three(tmp_path, capsys, payload):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(payload))
+    assert run_cli(capsys, "validate", "--lattice", str(path)) == (3, "")
+    path.write_text(json.dumps({"elements": ["0", "1"], "leq": BOOL_LEQ}))
+    code, out = run_cli(capsys, "validate", "--lattice", str(path))
+    assert code == 0 and json.loads(out)["elements"] == ["0", "1"]
 
 
 def run_cli(capsys, *argv):

@@ -94,11 +94,8 @@ def validate(
     automatic for tables recovered by maxima, and the zero floor is part of
     the subgraph reading rather than a table property.
     """
-    return _checked(LFuzzyAmbRep(source, target, lattice, grades))
-
-
-def _checked(rep: LFuzzyAmbRep) -> LFuzzyAmbRep:
-    source, target, lattice, g = rep.source, rep.target, rep.lattice, rep.grades
+    rep = LFuzzyAmbRep(source, target, lattice, grades)
+    g = rep.grades
     outside = (g < 0) | (g >= lattice.size)
     if outside.any():
         a, b = (int(k) + 1 for k in np.unravel_index(outside.argmax(), outside.shape))
@@ -107,7 +104,13 @@ def _checked(rep: LFuzzyAmbRep) -> LFuzzyAmbRep:
             f"grades must be element indices 0..{lattice.size - 1}",
             witness=[list(source.labels(a)), list(target.labels(b)), int(g[a - 1, b - 1])],
         )
-    leq = lattice.leq
+    return _checked(rep)
+
+
+def _checked(rep: LFuzzyAmbRep) -> LFuzzyAmbRep:
+    # the checks of validate on a table of element indices; from_cuts runs
+    # them on the table it rebuilds
+    source, target, lattice, g = rep.source, rep.target, rep.lattice, rep.grades
     off_top = g[:, target.full - 1] != lattice.top
     if off_top.any():
         a = int(off_top.argmax()) + 1
@@ -116,13 +119,18 @@ def _checked(rep: LFuzzyAmbRep) -> LFuzzyAmbRep:
             "the whole target must carry the top grade",
             witness=[list(source.labels(a))],
         )
-    # falls[b - 1, j, a - 1]: grade (a, b) is not below grade (a, b | 1 << j).
+    # leq_at[x * |L| + y] = whether x <= y; one lookup into a flat index
+    # array built in place costs less than a two-index one
+    leq_at, n = lattice.leq.reshape(-1), lattice.size
+    # rises[b - 1, j, a - 1]: grade (a, b) is below grade (a, b | 1 << j).
     # A bit already in b compares an entry with itself, which reflexivity
     # passes, so the first violation is the loop-order (b, j, a) one.
     gt = g.T
-    falls = ~leq[gt[:, None, :], gt[_grow_index(target)[1:] - 1]]
-    if falls.any():
-        b, j, a = (int(k) for k in np.unravel_index(falls.argmax(), falls.shape))
+    steps = gt[_grow_index(target)[1:] - 1]
+    steps += gt[:, None, :] * n
+    rises = leq_at[steps]
+    if not rises.all():
+        b, j, a = (int(k) for k in np.unravel_index(rises.argmin(), rises.shape))
         raise ValidationError(
             "NotIsotoneInB",
             "grades must rise with the target set",
@@ -132,11 +140,13 @@ def _checked(rep: LFuzzyAmbRep) -> LFuzzyAmbRep:
                 list(target.labels((b + 1) | (1 << j))),
             ],
         )
-    # rises[a - 1, i, b - 1]: grade (a, b) is not below grade (a & ~(1 << i), b);
+    # falls[a - 1, i, b - 1]: grade (a, b) is below grade (a & ~(1 << i), b);
     # steps that leave a unchanged or empty compare an entry with itself
-    rises = ~leq[g[:, None, :], g[_shrink_index(source)[1:] - 1]]
-    if rises.any():
-        a, i, b = (int(k) for k in np.unravel_index(rises.argmax(), rises.shape))
+    steps = g[_shrink_index(source)[1:] - 1]
+    steps += g[:, None, :] * n
+    falls = leq_at[steps]
+    if not falls.all():
+        a, i, b = (int(k) for k in np.unravel_index(falls.argmin(), falls.shape))
         raise ValidationError(
             "NotAntitoneInA",
             "grades must fall as the source set grows",

@@ -87,7 +87,8 @@ class FiniteLattice:
     # -- identity -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
+        # most comparisons meet the same instance, so skip the matrix there
+        return self is other or (
             isinstance(other, FiniteLattice)
             and self.elements == other.elements
             and np.array_equal(self.leq, other.leq)

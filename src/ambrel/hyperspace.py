@@ -141,10 +141,16 @@ def _subset_table(space: FiniteSpace) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _meets_table(space: FiniteSpace) -> tuple[int, ...]:
-    # _meets_table(X)[s - 1] = family mask of all subsets intersecting s
+def _meets_masks(space: FiniteSpace) -> np.ndarray:
+    # _meets_masks(X)[s - 1] = family mask of all subsets intersecting s
     masks = np.arange(1, space.full + 1)
-    return tuple(_pack(masks[:, None] & masks[None, :] != 0, space).tolist())
+    return _frozen(_pack(masks[:, None] & masks[None, :] != 0, space))
+
+
+@lru_cache(maxsize=None)
+def _meets_table(space: FiniteSpace) -> tuple[int, ...]:
+    # _meets_masks as Python ints
+    return tuple(_meets_masks(space).tolist())
 
 
 @lru_cache(maxsize=None)

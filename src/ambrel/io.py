@@ -250,13 +250,26 @@ def hyper_from(payload) -> TernaryHyperRelation:
     source = space_from(payload["source"])
     target = space_from(payload["target"])
     lat, _ = lattice_from(payload["lattice"])
-    triples = []
     try:
-        for fam_labels, b_labels, g_label in payload["triples"]:
-            fam = family_of(subset_from(source, a_labels) for a_labels in fam_labels)
-            triples.append((fam, subset_from(target, b_labels), lat.index(g_label)))
+        entries = [
+            (
+                [subset_from(source, a_labels) for a_labels in fam_labels],
+                subset_from(target, b_labels),
+                lat.index(g_label),
+            )
+            for fam_labels, b_labels, g_label in payload["triples"]
+        ]
     except (TypeError, ValueError, KeyError) as e:
         raise MalformedInput(f"bad triple list: {e}") from None
+    triples = []
+    for sets, b, g in entries:
+        if not sets or not all(sets) or not b:
+            raise ValidationError(
+                "BadTriple",
+                "triples pair a nonempty family of nonempty subsets with a nonempty subset",
+                witness=[[subset_payload(source, a) for a in sets], subset_payload(target, b)],
+            )
+        triples.append((family_of(sets), b, g))
     return TernaryHyperRelation.from_triples(source, target, lat, triples)
 
 

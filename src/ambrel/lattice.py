@@ -3,6 +3,12 @@
 A lattice is given by its full order matrix, not a Hasse diagram: the
 matrix is unambiguous and cheap to validate exhaustively at the sizes
 this package works with (at most ``MAX_LATTICE`` elements).
+
+Every lattice here is distributive, so Birkhoff's representation theorem
+applies: an element is determined by the set of join-irreducibles below
+it, and the join of elements is the union of those sets.  Validation
+stores each set as a bitmask (``down``), which turns any join of many
+grades into one bitwise OR.
 """
 
 from __future__ import annotations
@@ -21,20 +27,35 @@ class FiniteLattice:
     """A validated finite bounded distributive lattice.
 
     Elements are addressed by index into ``elements``; ``leq``, ``join_table``
-    and ``meet_table`` are dense tables over those indices.  Instances are
-    immutable after construction and safe to share.
+    and ``meet_table`` are dense tables over those indices.  The Birkhoff
+    encoding: ``irreducibles`` lists the join-irreducible elements, and
+    bit ``k`` of ``down[x]`` says whether ``irreducibles[k] <= x``
+    (``uint16``: a lattice of at most 16 elements has at most 15 of them).
+    Instances are immutable after construction and safe to share; only
+    :func:`validate_lattice` builds them.
     """
 
-    __slots__ = ("elements", "leq", "join_table", "meet_table", "bottom", "top")
+    __slots__ = (
+        "elements", "leq", "join_table", "meet_table", "bottom", "top",
+        "irreducibles", "down", "_sorted_down", "_by_down",
+    )
 
-    def __init__(self, elements, leq, join_table, meet_table, bottom, top):
+    def __init__(self, elements, leq, join_table, meet_table, bottom, top, irreducibles, down):
         self.elements: tuple[str, ...] = tuple(elements)
         self.leq = leq
         self.join_table = join_table
         self.meet_table = meet_table
         self.bottom: int = bottom
         self.top: int = top
-        for arr in (self.leq, self.join_table, self.meet_table):
+        self.irreducibles: tuple[int, ...] = tuple(irreducibles)
+        self.down = down
+        # down is injective, so sorting it gives the inverse map
+        self._by_down = np.argsort(down)
+        self._sorted_down = down[self._by_down]
+        for arr in (
+            self.leq, self.join_table, self.meet_table, self.down,
+            self._by_down, self._sorted_down,
+        ):
             arr.setflags(write=False)
 
     # -- basic queries ------------------------------------------------
@@ -57,6 +78,14 @@ class FiniteLattice:
 
     def meet(self, a: int, b: int) -> int:
         return int(self.meet_table[a, b])
+
+    def from_down(self, masks) -> np.ndarray:
+        """The elements whose ``down`` masks are ``masks`` (elementwise).
+
+        Every mask must be some element's; the union of the masks of any
+        elements is the mask of their join.
+        """
+        return self._by_down[np.searchsorted(self._sorted_down, masks)]
 
     def family_join(self, items: Iterable[int]) -> int:
         """Least upper bound of a set of elements; the empty join is bottom."""
@@ -171,7 +200,16 @@ def validate_lattice(elements: Sequence[str], leq: Sequence[Sequence[bool]]) -> 
                         "NotDistributive", "meet does not distribute over join", wit(a, b, c)
                     )
 
-    return FiniteLattice(elements, mat, join_table, meet_table, bottoms[0], tops[0])
+    # join-irreducible: exactly one lower cover (bottom has none).
+    # covers[y, x]: y < x with nothing strictly between them
+    strict = mat & ~np.eye(n, dtype=bool)
+    covers = strict & ~(strict.astype(np.intp) @ strict.astype(np.intp) > 0)
+    irreducibles = np.flatnonzero(covers.sum(axis=0) == 1)
+    down = mat[irreducibles].T @ (1 << np.arange(len(irreducibles)))
+    return FiniteLattice(
+        elements, mat, join_table, meet_table, bottoms[0], tops[0],
+        irreducibles.tolist(), down.astype(np.uint16),
+    )
 
 
 def way_below(lat: FiniteLattice, a: int, b: int) -> bool:

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from ambrel import crisp
-from ambrel.catalog import all_crisp_reps, all_inclusion_hyperspaces, all_partitions
+from ambrel import crisp, fuzzy, oracle
+from ambrel.catalog import all_crisp_reps, all_inclusion_hyperspaces, all_partitions, chain
 from ambrel.errors import SpaceMismatch, ValidationError
 from ambrel.generators import random_rep
 from ambrel.hyperspace import family_of, full_family, space
+from ambrel.lattice import meet_tnorm
 
 
 @pytest.fixture
@@ -202,3 +203,58 @@ def test_rough_unavoidability_equivalence():
 def test_enumeration_counts(x2, y2):
     assert len(all_inclusion_hyperspaces(y2)) == 4
     assert sum(1 for _ in all_crisp_reps(x2, y2)) == 25
+
+
+def _pts(prefix, n):
+    return space(*(f"{prefix}{i}" for i in range(1, n + 1)))
+
+
+# (source, middle, target) points: every size 1-6 on both crisp paths,
+# with few samples where the oracles are slow (sms_definitional takes
+# about 0.7 s at 6x6, compose_subgraph 1.5 s at 6x6x6)
+PATH_SHAPES = [
+    ((1, 1, 1), 6), ((2, 1, 2), 6), ((1, 3, 2), 6), ((2, 2, 2), 6), ((3, 2, 1), 6),
+    ((3, 3, 3), 6), ((2, 4, 3), 6), ((4, 3, 2), 6), ((4, 4, 4), 3),
+    ((5, 2, 5), 2), ((2, 5, 2), 2), ((5, 5, 1), 1), ((6, 2, 6), 1), ((2, 6, 2), 1),
+    ((6, 6, 1), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "shape, samples", PATH_SHAPES, ids=["x".join(map(str, shape)) for shape, _ in PATH_SHAPES]
+)
+def test_both_crisp_paths_match_the_oracles(shape, samples):
+    X, Y, Z = (_pts(p, n) for p, n in zip("xyz", shape))
+    two = chain(2)
+    for seed in range(samples):
+        r = random_rep(X, Y, seed, (seed % 5 + 1) / 6)
+        s = random_rep(Y, Z, 100 + seed, (seed % 3 + 1) / 4)
+        want = oracle.sms_definitional(r)
+        assert crisp._sms_loop(r) == want
+        assert crisp._sms_masks(r) == want
+        want = oracle.compose_subgraph(
+            fuzzy.embed_crisp(r, two), fuzzy.embed_crisp(s, two), meet_tnorm(two)
+        )
+        assert fuzzy.embed_crisp(crisp._compose_loop(r, s), two) == want
+        assert fuzzy.embed_crisp(crisp._compose_masks(r, s), two) == want
+
+
+def test_paths_are_selected_by_pair_table_size(monkeypatch):
+    ran = []
+    for name in ("_sms_loop", "_sms_masks", "_compose_loop", "_compose_masks"):
+        kernel = getattr(crisp, name)
+        monkeypatch.setattr(
+            crisp, name, lambda *reps, name=name, kernel=kernel: ran.append(name) or kernel(*reps)
+        )
+    loops, arrays = ["_sms_loop", "_compose_loop"], ["_sms_masks", "_compose_masks"]
+    # the loops up to 2x4 points and the arrays from 3x3 on, as measured
+    for (n_src, n_tgt), want in (
+        ((1, 1), loops), ((1, 2), loops), ((2, 2), loops), ((1, 5), loops), ((2, 4), loops),
+        ((4, 2), loops), ((3, 3), arrays), ((1, 6), arrays), ((4, 4), arrays), ((6, 6), arrays),
+    ):
+        X, Y = _pts("x", n_src), _pts("y", n_tgt)
+        r = random_rep(X, Y, 1, 0.5)
+        ran.clear()
+        crisp.sms(r)
+        crisp.compose(r, crisp.top(Y, X))
+        assert ran == want, (n_src, n_tgt)

@@ -285,6 +285,24 @@ def test_graded_kernels_match_oracle_twins():
     }
 
 
+# (source, middle, target) points for the compose twins, mixed sizes included
+COMPOSE_SHAPES = (
+    (1, 1, 1), (1, 2, 3), (3, 2, 1), (2, 2, 2), (2, 4, 1), (4, 1, 3), (3, 3, 3), (4, 3, 4),
+)
+
+
+def test_compose_matches_oracle_twin():
+    for lat in TWIN_LATTICES:
+        tnorms = [meet_tnorm(lat)] + ([lukasiewicz(lat)] if lat.is_chain() else [])
+        for shape in COMPOSE_SHAPES:
+            X, Y, Z = (space(*(f"{p}{i}" for i in range(1, n + 1))) for p, n in zip("xyz", shape))
+            seed = sum(shape) + lat.size
+            r = random_fuzzy_rep(X, Y, lat, seed, (0.3, 0.6)[seed % 2])
+            s = random_fuzzy_rep(Y, Z, lat, 50 + seed, (0.6, 0.3)[seed % 2])
+            for tn in tnorms:
+                assert fuzzy.compose(r, s, tn) == oracle.compose_subgraph(r, s, tn)
+
+
 def test_from_cuts_rejects_a_self_reproducing_invalid_family():
     X, Y = space("x1", "x2"), space("y1", "y2")
     lat = chain(3)

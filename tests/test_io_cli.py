@@ -93,6 +93,27 @@ def test_graded_empty_subset_rejected(a_labels, b_labels):
     assert info.value.witness == [a_labels, b_labels]
 
 
+def _hyper_payload(fam_labels, b_labels):
+    return {
+        "source": ["x1", "x2"],
+        "target": ["y1", "y2"],
+        "lattice": {"elements": ["0", "1"], "leq": [[True, True], [False, True]]},
+        "triples": [[fam_labels, b_labels, "1"]],
+    }
+
+
+@pytest.mark.parametrize(
+    "fam_labels, b_labels",
+    [([["x1"]], []), ([], ["y1"]), ([["x1"], []], ["y1"])],
+    ids=["empty-target-subset", "empty-family", "empty-family-member"],
+)
+def test_hyper_empty_parts_rejected(fam_labels, b_labels):
+    with pytest.raises(ValidationError) as info:
+        io.hyper_from(_hyper_payload(fam_labels, b_labels))
+    assert info.value.code == "BadTriple"
+    assert info.value.witness == [fam_labels, b_labels]
+
+
 def _duplicated_payload(first_labels, second_labels):
     payload = _graded_payload(first_labels, ["y1"])
     payload["grades"].append([second_labels, ["y1"], "0"])

@@ -1,8 +1,16 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambrel.catalog import boolean_square, chain, diamond_leq, lukasiewicz, pentagon_leq
+from ambrel.catalog import (
+    all_distributive_lattices,
+    boolean_square,
+    chain,
+    diamond_leq,
+    lukasiewicz,
+    pentagon_leq,
+)
 from ambrel.errors import ValidationError
 from ambrel.lattice import validate_lattice, validate_tnorm, way_below
 
@@ -131,3 +139,33 @@ def test_lattice_equality_and_hash():
     assert chain(3) == chain(3)
     assert chain(3) != chain(4)
     assert len({chain(3), chain(3), boolean_square()}) == 2
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [chain(n) for n in range(1, 17)] + [boolean_square()] + list(all_distributive_lattices(6)),
+    ids=lambda lat: "-".join(lat.elements),
+)
+def test_birkhoff_encoding(lat):
+    n = lat.size
+    # in a distributive lattice the join-irreducibles are the join-primes:
+    # not bottom, and below a join only when below one side of it
+    primes = [
+        j
+        for j in range(n)
+        if j != lat.bottom
+        and all(
+            lat.le(j, a) or lat.le(j, b) or not lat.le(j, lat.join(a, b))
+            for a in range(n)
+            for b in range(n)
+        )
+    ]
+    assert lat.irreducibles == tuple(primes)
+    for x in range(n):
+        assert lat.down[x] == sum(1 << k for k, j in enumerate(primes) if lat.le(j, x))
+    assert len(set(lat.down.tolist())) == n
+    for a in range(n):
+        for b in range(n):
+            assert lat.down[lat.join(a, b)] == lat.down[a] | lat.down[b]
+            assert lat.down[lat.meet(a, b)] == lat.down[a] & lat.down[b]
+    assert np.array_equal(lat.from_down(lat.down), np.arange(n))

@@ -212,10 +212,9 @@ def validate_subgraph(
                 lattice.elements[beta],
             ],
         )
+    # the value at f joins the grades held there: the OR of their down masks
     values = np.full(space.full + 1, lattice.bottom, dtype=np.intp)
-    for alpha in range(lattice.size):
-        at = np.flatnonzero(held[:, alpha]) + 1
-        values[at] = jt[values[at], alpha]
+    values[1:] = lattice.from_down(np.bitwise_or.reduce(held * lattice.down, axis=1))
     cap = validate_capacity(space, lattice, values)
     if not np.array_equal(leq.T[cap.values[1:]], held):
         raise ValidationError(

@@ -80,7 +80,9 @@ def _emit(args, payload) -> None:
     sys.stdout.write(text)
 
 
-def _load_rep(path: str):
+def _load_rep(path: str | None):
+    if not path:
+        raise MalformedInput("this verb needs a representation file (--rep, --rep2)")
     payload = io.load_path(path)
     if io.is_fuzzy_payload(payload):
         rep, tn = io.fuzzy_rep_from(payload)
@@ -88,11 +90,21 @@ def _load_rep(path: str):
     return io.crisp_rep_from(payload), None
 
 
-def _spaces(sizes: str, how_many: int) -> list[FiniteSpace]:
+def _ints(sizes: str) -> list[int]:
     try:
-        parts = [int(s) for s in sizes.split(",")]
+        return [int(s) for s in sizes.split(",")]
     except (AttributeError, ValueError):
         raise MalformedInput("--sizes expects a comma list like 2,2,2") from None
+
+
+def _density(args) -> float:
+    if not 0.0 <= args.density <= 1.0:
+        raise MalformedInput("--density must lie in [0, 1]")
+    return args.density
+
+
+def _spaces(sizes: str, how_many: int) -> list[FiniteSpace]:
+    parts = _ints(sizes)
     if len(parts) != how_many:
         raise MalformedInput(f"--sizes needs {how_many} entries here")
     names = ["x", "y", "z", "w"]
@@ -176,7 +188,10 @@ def _run(args) -> int:
             raise MalformedInput("cut applies to graded representations")
         if args.alpha is None:
             raise MalformedInput("cut needs --alpha")
-        alpha = rep.lattice.index(args.alpha)
+        try:
+            alpha = rep.lattice.index(args.alpha)
+        except KeyError as e:
+            raise MalformedInput(str(e)) from None
         _emit(args, io.crisp_rep_payload(fuzzy.alpha_cut(rep, alpha)))
         return 0
 
@@ -267,22 +282,22 @@ def _run_gen(args) -> int:
         return 0
     if kind == "random":
         x, y = _spaces(sizes, 2)
-        _emit(args, io.crisp_rep_payload(generators.random_rep(x, y, args.seed, args.density)))
+        _emit(args, io.crisp_rep_payload(generators.random_rep(x, y, args.seed, _density(args))))
         return 0
     if kind == "random-fuzzy":
         x, y = _spaces(sizes, 2)
         lat = _named_lattice(args.lattice)
-        rep = generators.random_fuzzy_rep(x, y, lat, args.seed, args.density)
+        rep = generators.random_fuzzy_rep(x, y, lat, args.seed, _density(args))
         _emit(args, io.fuzzy_rep_payload(rep))
         return 0
     if kind == "metric":
-        n = int(sizes.split(",")[0])
+        n = _ints(sizes)[0]
         lat = _named_lattice(args.lattice)
         rep = generators.metric_rep(generators.line_metric(n), lat)
         _emit(args, io.fuzzy_rep_payload(rep))
         return 0
     if kind in ("translation", "projection"):
-        parts = [int(s) for s in sizes.split(",")]
+        parts = _ints(sizes)
         if len(parts) != 4:
             raise MalformedInput("grid kinds need --sizes w,h,W,H")
         w, h, ow, oh = parts
@@ -324,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(io.dumps({"verdict": "no_counterexample", "reason": str(e)}))
         print(str(e), file=sys.stderr)
         return 1
-    except (MalformedInput, _CliError, SpaceMismatch, SpaceTooLarge, ValueError, KeyError) as e:
+    except (MalformedInput, _CliError, SpaceMismatch, SpaceTooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -168,19 +168,16 @@ class _GradeTables(NamedTuple):
 @lru_cache(maxsize=None)
 def _grade_tables(lattice: FiniteLattice) -> _GradeTables:
     n = lattice.size
-    below = [sum(1 << beta for beta in range(n) if lattice.le(beta, alpha)) for alpha in range(n)]
-    down = np.zeros(1 << n, dtype=np.uint8)
-    join_of = np.full(1 << n, lattice.bottom, dtype=np.intp)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        down[mask] = down[rest] | below[low]
-        join_of[mask] = lattice.join(int(join_of[rest]), low)
+    # bits[mask, g]: grade g is in mask; below[g]: the grades at most g
+    bits = np.arange(1 << n)[:, None] >> np.arange(n) & 1
+    below = lattice.leq.T @ (1 << np.arange(n))
+    down = np.bitwise_or.reduce(bits * below, axis=1).astype(np.uint8)
+    join_of = lattice.from_down(np.bitwise_or.reduce(bits * lattice.down, axis=1))
     grades = np.arange(n)[:, None]
     hit = np.where(join_of == grades, 1 << grades, 0).astype(np.uint8)
     hit[:, 0] = 0
     tables = _GradeTables(
-        down, join_of, np.array(below, dtype=np.uint8)[:, None], hit.reshape(-1), grades << n
+        down, join_of, below.astype(np.uint8)[:, None], hit.reshape(-1), grades << n
     )
     for arr in tables:
         arr.setflags(write=False)

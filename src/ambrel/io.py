@@ -69,6 +69,12 @@ def lattice_payload(lat: FiniteLattice, tnorm: TNormTable | None = None) -> dict
     return payload
 
 
+def _same_length(rows: list, name: str) -> None:
+    # numpy would reject a ragged matrix with a bare ValueError
+    if len({len(row) for row in rows}) > 1:
+        raise MalformedInput(f"{name} rows must all have the same length")
+
+
 def lattice_from(payload) -> tuple[FiniteLattice, TNormTable | None]:
     if not isinstance(payload, dict) or "elements" not in payload or "leq" not in payload:
         raise MalformedInput("a lattice needs 'elements' and 'leq'")
@@ -79,10 +85,14 @@ def lattice_from(payload) -> tuple[FiniteLattice, TNormTable | None]:
         isinstance(row, list) and all(isinstance(x, bool) for x in row) for row in leq
     ):
         raise MalformedInput("'leq' is a matrix of JSON booleans")
+    _same_length(leq, "'leq'")
     lat = validate_lattice(elements, leq)
     tn = None
     if payload.get("tnorm") is not None:
         rows = payload["tnorm"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise MalformedInput("'tnorm' is a matrix of element labels")
+        _same_length(rows, "'tnorm'")
         try:
             table = [[lat.index(x) for x in row] for row in rows]
         except (KeyError, TypeError) as e:
@@ -116,7 +126,10 @@ def crisp_rep_from(payload) -> CrispAmbRep:
         ]
     except (TypeError, ValueError) as e:
         raise MalformedInput(f"bad pair list: {e}") from None
-    if payload.get("seed"):
+    seed = payload.get("seed", False)
+    if not isinstance(seed, bool):
+        raise MalformedInput("'seed' must be true or false")
+    if seed:
         return crisp.from_seed(source, target, pairs)
     return crisp.validate(source, target, pairs)
 
@@ -291,5 +304,5 @@ def load_path(path: str):
     try:
         with open(path) as fh:
             return loads(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise MalformedInput(f"cannot read {path}: {e}") from None

@@ -32,7 +32,7 @@ class FiniteLattice:
     bit ``k`` of ``down[x]`` says whether ``irreducibles[k] <= x``
     (``uint16``: a lattice of at most 16 elements has at most 15 of them).
     Instances are immutable after construction and safe to share; only
-    :func:`validate_lattice` builds them.
+    :func:`validate_lattice` and its oracle twin build them.
     """
 
     __slots__ = (
@@ -102,16 +102,15 @@ class FiniteLattice:
         return acc
 
     def is_chain(self) -> bool:
-        n = self.size
-        return all(self.leq[a, b] or self.leq[b, a] for a in range(n) for b in range(n))
+        return bool((self.leq | self.leq.T).all())
 
     def incomparable_pair(self) -> tuple[int, int] | None:
-        n = self.size
-        for a in range(n):
-            for b in range(a + 1, n):
-                if not self.leq[a, b] and not self.leq[b, a]:
-                    return a, b
-        return None
+        """The first incomparable pair ``a < b`` in row-major order."""
+        apart = np.triu(~(self.leq | self.leq.T), 1)
+        if not apart.any():
+            return None
+        a, b = divmod(int(apart.argmax()), self.size)
+        return a, b
 
     # -- identity -----------------------------------------------------
 
@@ -130,12 +129,47 @@ class FiniteLattice:
         return f"FiniteLattice({list(self.elements)})"
 
 
+def _raise_first(labels: Sequence[str], *checks) -> None:
+    """Raise the violation that nested loops over the indices meet first.
+
+    ``checks`` are ``(code, message, mask)`` in the order the loops test
+    them, each mask true where its axiom fails.  The loops run row-major
+    over the axes all masks share and test every check there in turn; a
+    mask's further axes run innermost.  The witness is the labels at the
+    violating index.
+    """
+    lead = min(mask.ndim for _, _, mask in checks)
+    bad = np.logical_or.reduce(
+        [mask.reshape(mask.shape[:lead] + (-1,)).any(axis=-1) for _, _, mask in checks]
+    )
+    if not bad.any():
+        return
+    at = np.unravel_index(bad.argmax(), bad.shape)
+    code, message, mask = next(check for check in checks if check[2][at].any())
+    rest = np.unravel_index(mask[at].argmax(), mask[at].shape)
+    raise ValidationError(code, message, [labels[i] for i in (*at, *rest)])
+
+
+def _least_upper(mat: np.ndarray) -> np.ndarray:
+    """``least[a, b, c]``: ``c`` is an upper bound of ``a`` and ``b`` below
+    every other one; on ``mat.T``, the greatest lower bounds."""
+    n = len(mat)
+    upper = (mat[:, None, :] & mat[None, :, :]).reshape(n * n, n)
+    # outside[ab, c] = number of upper bounds d with c !<= d (float32 is exact here)
+    outside = upper.astype(np.float32) @ (~mat).T.astype(np.float32)
+    return (upper & (outside == 0)).reshape(n, n, n)
+
+
 def validate_lattice(elements: Sequence[str], leq: Sequence[Sequence[bool]]) -> FiniteLattice:
     """Check a candidate order matrix and derive the join/meet tables.
 
     Raises :class:`ValidationError` naming the first violated axiom with a
-    witness: ``NotAPartialOrder``, ``MissingBound``, ``NoBottom``, ``NoTop``
-    or ``NotDistributive``.
+    witness: ``NotAPartialOrder``, ``MissingBound`` or ``NotDistributive``.
+    Each check is one array over the index tuples it quantifies, and the
+    witness is the violation that nested loops over them meet first
+    (:func:`ambrel.oracle.validate_lattice_loops`).  No check looks for a
+    least or greatest element: once every pair has a meet and a join, the
+    meet of all elements is least and their join greatest.
     """
     elements = tuple(elements)
     n = len(elements)
@@ -149,56 +183,23 @@ def validate_lattice(elements: Sequence[str], leq: Sequence[Sequence[bool]]) -> 
     if mat.shape != (n, n):
         raise ValidationError("BadMatrix", f"leq must be {n}x{n}, got {mat.shape}")
 
-    def wit(*idx):
-        return [elements[i] for i in idx]
-
-    for a in range(n):
-        if not mat[a, a]:
-            raise ValidationError("NotAPartialOrder", "leq not reflexive", wit(a))
-    for a in range(n):
-        for b in range(n):
-            if a != b and mat[a, b] and mat[b, a]:
-                raise ValidationError("NotAPartialOrder", "leq not antisymmetric", wit(a, b))
-            for c in range(n):
-                if mat[a, b] and mat[b, c] and not mat[a, c]:
-                    raise ValidationError("NotAPartialOrder", "leq not transitive", wit(a, b, c))
-
-    join_table = np.zeros((n, n), dtype=np.intp)
-    meet_table = np.zeros((n, n), dtype=np.intp)
-    for a in range(n):
-        for b in range(n):
-            uppers = [c for c in range(n) if mat[a, c] and mat[b, c]]
-            least = [c for c in uppers if all(mat[c, d] for d in uppers)]
-            if len(least) != 1:
-                raise ValidationError(
-                    "MissingBound", "pair has no unique least upper bound", wit(a, b)
-                )
-            join_table[a, b] = least[0]
-            lowers = [c for c in range(n) if mat[c, a] and mat[c, b]]
-            greatest = [c for c in lowers if all(mat[d, c] for d in lowers)]
-            if len(greatest) != 1:
-                raise ValidationError(
-                    "MissingBound", "pair has no unique greatest lower bound", wit(a, b)
-                )
-            meet_table[a, b] = greatest[0]
-
-    bottoms = [a for a in range(n) if all(mat[a, b] for b in range(n))]
-    if not bottoms:
-        raise ValidationError("NoBottom", "no least element")
-    tops = [a for a in range(n) if all(mat[b, a] for b in range(n))]
-    if not tops:
-        raise ValidationError("NoTop", "no greatest element")
-
-    # exhaustive O(n^3) scan; sizes are gated above
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                lhs = meet_table[a, join_table[b, c]]
-                rhs = join_table[meet_table[a, b], meet_table[a, c]]
-                if lhs != rhs:
-                    raise ValidationError(
-                        "NotDistributive", "meet does not distribute over join", wit(a, b, c)
-                    )
+    _raise_first(elements, ("NotAPartialOrder", "leq not reflexive", ~mat.diagonal()))
+    _raise_first(
+        elements,
+        ("NotAPartialOrder", "leq not antisymmetric", mat & mat.T & ~np.eye(n, dtype=bool)),
+        ("NotAPartialOrder", "leq not transitive", mat[:, :, None] & mat & ~mat[:, None]),
+    )
+    least, greatest = _least_upper(mat), _least_upper(mat.T)
+    _raise_first(
+        elements,
+        ("MissingBound", "pair has no unique least upper bound", least.sum(axis=2) != 1),
+        ("MissingBound", "pair has no unique greatest lower bound", greatest.sum(axis=2) != 1),
+    )
+    join_table, meet_table = least.argmax(axis=2), greatest.argmax(axis=2)
+    # meet(a, join(b, c)) against join(meet(a, b), meet(a, c))
+    lhs = meet_table[np.arange(n)[:, None, None], join_table]
+    rhs = join_table[meet_table[:, :, None], meet_table[:, None, :]]
+    _raise_first(elements, ("NotDistributive", "meet does not distribute over join", lhs != rhs))
 
     # join-irreducible: exactly one lower cover (bottom has none).
     # covers[y, x]: y < x with nothing strictly between them
@@ -207,7 +208,8 @@ def validate_lattice(elements: Sequence[str], leq: Sequence[Sequence[bool]]) -> 
     irreducibles = np.flatnonzero(covers.sum(axis=0) == 1)
     down = mat[irreducibles].T @ (1 << np.arange(len(irreducibles)))
     return FiniteLattice(
-        elements, mat, join_table, meet_table, bottoms[0], tops[0],
+        elements, mat, join_table, meet_table,
+        int(mat.all(axis=1).argmax()), int(mat.all(axis=0).argmax()),
         irreducibles.tolist(), down.astype(np.uint16),
     )
 
@@ -241,10 +243,16 @@ class TNormTable:
             and np.array_equal(self.table, other.table)
         )
 
+    def __hash__(self) -> int:  # the fields __eq__ compares; the name is only a label
+        return hash((self.lattice, self.table.tobytes()))
+
 
 def validate_tnorm(lat: FiniteLattice, table, name: str = "tnorm") -> TNormTable:
     """Check associativity, commutativity, neutrality of top, monotonicity
-    and distributivity over join; return the validated table."""
+    and distributivity over join; return the validated table.
+
+    As in :func:`validate_lattice`, each check is one array and the
+    witness is the violation nested loops meet first."""
     tab = np.asarray(table, dtype=np.intp)
     n = lat.size
     if tab.shape != (n, n):
@@ -252,30 +260,19 @@ def validate_tnorm(lat: FiniteLattice, table, name: str = "tnorm") -> TNormTable
     if tab.min() < 0 or tab.max() >= n:
         raise ValidationError("BadMatrix", "table entries must be element indices")
 
-    def wit(*idx):
-        return [lat.elements[i] for i in idx]
-
-    for a in range(n):
-        for b in range(n):
-            if tab[a, b] != tab[b, a]:
-                raise ValidationError("NotCommutative", "a*b != b*a", wit(a, b))
-            for c in range(n):
-                if tab[tab[a, b], c] != tab[a, tab[b, c]]:
-                    raise ValidationError("NotAssociative", "(a*b)*c != a*(b*c)", wit(a, b, c))
-    for a in range(n):
-        if tab[a, lat.top] != a:
-            raise ValidationError("TopNotNeutral", "a*1 != a", wit(a))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if lat.le(b, c) and not lat.le(tab[a, b], tab[a, c]):
-                    raise ValidationError("NotMonotone", "b<=c but a*b !<= a*c", wit(a, b, c))
-                lhs = tab[a, lat.join(b, c)]
-                rhs = lat.join(tab[a, b], tab[a, c])
-                if lhs != rhs:
-                    raise ValidationError(
-                        "NotJoinDistributive", "a*(b|c) != (a*b)|(a*c)", wit(a, b, c)
-                    )
+    a, jt = np.arange(n)[:, None, None], lat.join_table
+    ab, ac = tab[:, :, None], tab[:, None, :]  # a*b and a*c at [a, b, c]
+    _raise_first(
+        lat.elements,
+        ("NotCommutative", "a*b != b*a", tab != tab.T),
+        ("NotAssociative", "(a*b)*c != a*(b*c)", tab[tab] != tab[a, tab]),
+    )
+    _raise_first(lat.elements, ("TopNotNeutral", "a*1 != a", tab[:, lat.top] != np.arange(n)))
+    _raise_first(
+        lat.elements,
+        ("NotMonotone", "b<=c but a*b !<= a*c", lat.leq & ~lat.leq[ab, ac]),
+        ("NotJoinDistributive", "a*(b|c) != (a*b)|(a*c)", tab[a, jt] != jt[ab, ac]),
+    )
     out = TNormTable(lat, tab, name)
     out.table.setflags(write=False)
     return out

@@ -27,6 +27,7 @@ from typing import Callable, Iterator
 from . import crisp, fuzzy
 from .catalog import all_crisp_reps, lukasiewicz
 from .crisp import CrispAmbRep
+from .errors import SpaceTooLarge
 from .generators import random_fuzzy_rep, random_rep
 from .hyperspace import FiniteSpace
 from .lattice import FiniteLattice, TNormTable, meet_tnorm
@@ -218,7 +219,7 @@ def _arguments(
 ) -> Iterator[tuple[CrispAmbRep, ...]]:
     if exhaustive:
         if max(x.size, y.size, z.size) > 2:
-            raise ValueError(
+            raise SpaceTooLarge(
                 "exhaustive enumeration is gated at two-point spaces; sample at size 3"
             )
         pools = [list(all_crisp_reps(*_hom_spaces(p, x, y, z))) for p in homs]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import LatticeTooLarge, SpaceMismatch, ValidationError
 from .fuzzy import LFuzzyAmbRep
 from .hyperencoding import TernaryHyperRelation
 from .hyperspace import FiniteSpace
-from .lattice import FiniteLattice, TNormTable
+from .lattice import MAX_LATTICE, FiniteLattice, TNormTable
 
 
 def _nonempty_subsets(n: int):
@@ -469,3 +469,129 @@ def validate_subgraph_loops(
             "NotASubgraph", "pair set is not reproduced by its own capacity", witness=None
         )
     return cap
+
+
+# -- lattices and t-norms, one index at a time ------------------------------------
+
+
+def validate_lattice_loops(elements: Sequence[str], leq: Sequence[Sequence[bool]]) -> FiniteLattice:
+    """``lattice.validate_lattice`` by nested loops over element indices,
+    raising at the first violation in loop order.
+
+    It still searches for a least and a greatest element and would raise
+    ``NoBottom``/``NoTop``; once every pair has a join and a meet both
+    exist, so the twin tests expect these never to fire.
+    """
+    elements = tuple(elements)
+    n = len(elements)
+    if n == 0:
+        raise ValidationError("EmptyLattice", "a lattice needs at least one element")
+    if len(set(elements)) != n:
+        raise ValidationError("DuplicateElement", f"duplicate labels in {elements}")
+    if n > MAX_LATTICE:
+        raise ValidationError("LatticeTooLarge", f"at most {MAX_LATTICE} elements, got {n}")
+    mat = np.asarray(leq, dtype=bool)
+    if mat.shape != (n, n):
+        raise ValidationError("BadMatrix", f"leq must be {n}x{n}, got {mat.shape}")
+
+    def wit(*idx):
+        return [elements[i] for i in idx]
+
+    for a in range(n):
+        if not mat[a, a]:
+            raise ValidationError("NotAPartialOrder", "leq not reflexive", wit(a))
+    for a in range(n):
+        for b in range(n):
+            if a != b and mat[a, b] and mat[b, a]:
+                raise ValidationError("NotAPartialOrder", "leq not antisymmetric", wit(a, b))
+            for c in range(n):
+                if mat[a, b] and mat[b, c] and not mat[a, c]:
+                    raise ValidationError("NotAPartialOrder", "leq not transitive", wit(a, b, c))
+
+    join_table = np.zeros((n, n), dtype=np.intp)
+    meet_table = np.zeros((n, n), dtype=np.intp)
+    for a in range(n):
+        for b in range(n):
+            uppers = [c for c in range(n) if mat[a, c] and mat[b, c]]
+            least = [c for c in uppers if all(mat[c, d] for d in uppers)]
+            if len(least) != 1:
+                raise ValidationError(
+                    "MissingBound", "pair has no unique least upper bound", wit(a, b)
+                )
+            join_table[a, b] = least[0]
+            lowers = [c for c in range(n) if mat[c, a] and mat[c, b]]
+            greatest = [c for c in lowers if all(mat[d, c] for d in lowers)]
+            if len(greatest) != 1:
+                raise ValidationError(
+                    "MissingBound", "pair has no unique greatest lower bound", wit(a, b)
+                )
+            meet_table[a, b] = greatest[0]
+
+    bottoms = [a for a in range(n) if all(mat[a, b] for b in range(n))]
+    if not bottoms:
+        raise ValidationError("NoBottom", "no least element")
+    tops = [a for a in range(n) if all(mat[b, a] for b in range(n))]
+    if not tops:
+        raise ValidationError("NoTop", "no greatest element")
+
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                lhs = meet_table[a, join_table[b, c]]
+                rhs = join_table[meet_table[a, b], meet_table[a, c]]
+                if lhs != rhs:
+                    raise ValidationError(
+                        "NotDistributive", "meet does not distribute over join", wit(a, b, c)
+                    )
+
+    # join-irreducible: exactly one lower cover y < x, nothing strictly between
+    def covers(y, x):
+        return y != x and mat[y, x] and not any(
+            z not in (x, y) and mat[y, z] and mat[z, x] for z in range(n)
+        )
+
+    irreducibles = [x for x in range(n) if sum(covers(y, x) for y in range(n)) == 1]
+    down = [sum(1 << k for k, j in enumerate(irreducibles) if mat[j, x]) for x in range(n)]
+    return FiniteLattice(
+        elements, mat, join_table, meet_table, bottoms[0], tops[0],
+        irreducibles, np.array(down, dtype=np.uint16),
+    )
+
+
+def validate_tnorm_loops(lat: FiniteLattice, table, name: str = "tnorm") -> TNormTable:
+    """``lattice.validate_tnorm`` by nested loops over element indices,
+    raising at the first violation in loop order."""
+    tab = np.asarray(table, dtype=np.intp)
+    n = lat.size
+    if tab.shape != (n, n):
+        raise ValidationError("BadMatrix", f"table must be {n}x{n}, got {tab.shape}")
+    if tab.min() < 0 or tab.max() >= n:
+        raise ValidationError("BadMatrix", "table entries must be element indices")
+
+    def wit(*idx):
+        return [lat.elements[i] for i in idx]
+
+    for a in range(n):
+        for b in range(n):
+            if tab[a, b] != tab[b, a]:
+                raise ValidationError("NotCommutative", "a*b != b*a", wit(a, b))
+            for c in range(n):
+                if tab[tab[a, b], c] != tab[a, tab[b, c]]:
+                    raise ValidationError("NotAssociative", "(a*b)*c != a*(b*c)", wit(a, b, c))
+    for a in range(n):
+        if tab[a, lat.top] != a:
+            raise ValidationError("TopNotNeutral", "a*1 != a", wit(a))
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if lat.le(b, c) and not lat.le(tab[a, b], tab[a, c]):
+                    raise ValidationError("NotMonotone", "b<=c but a*b !<= a*c", wit(a, b, c))
+                lhs = tab[a, lat.join(b, c)]
+                rhs = lat.join(tab[a, b], tab[a, c])
+                if lhs != rhs:
+                    raise ValidationError(
+                        "NotJoinDistributive", "a*(b|c) != (a*b)|(a*c)", wit(a, b, c)
+                    )
+    out = TNormTable(lat, tab, name)
+    out.table.setflags(write=False)
+    return out

@@ -34,6 +34,24 @@ def test_seeded_payload_expands(x2, y2):
         "seed": True,
     }
     assert io.crisp_rep_from(payload) == crisp.from_seed(x2, y2, [(3, 1)])
+    unseeded = dict(payload, pairs=[[["x1", "x2"], ["y1", "y2"]], [["x1"], ["y1", "y2"]],
+                                    [["x2"], ["y1", "y2"]]])
+    expected = crisp.validate(x2, y2, [(3, 3), (1, 3), (2, 3)])
+    assert io.crisp_rep_from(dict(unseeded, seed=False)) == expected
+    del unseeded["seed"]
+    assert io.crisp_rep_from(unseeded) == expected
+    with pytest.raises(ValidationError):  # not closed under the axioms, so not valid as given
+        io.crisp_rep_from(dict(payload, seed=False))
+
+
+@pytest.mark.parametrize("seed", ["false", 1, [], None])
+def test_cli_seed_must_be_boolean(tmp_path, capsys, seed):
+    path = tmp_path / "seeded.json"
+    path.write_text(json.dumps({
+        "source": ["x1", "x2"], "target": ["y1", "y2"],
+        "pairs": [[["x1", "x2"], ["y1"]]], "seed": seed,
+    }))
+    assert run_cli(capsys, "validate", "--rep", str(path)) == (3, "")
 
 
 def test_fuzzy_rep_roundtrip(x2, y3, chain3, square):
@@ -295,6 +313,9 @@ def test_cli_malformed_exits_three(tmp_path, capsys):
     bad.write_text("{]")
     assert run_cli(capsys, "validate", "--rep", str(bad))[0] == 3
     assert run_cli(capsys, "frobnicate")[0] == 3
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")  # not UTF-8
+    assert run_cli(capsys, "validate", "--rep", str(binary)) == (3, "")
     assert run_cli(capsys, "gen", "--kind", "nope")[0] == 3
 
 
@@ -317,3 +338,56 @@ def test_cli_counterexample_on_chain_reports(capsys):
                         "--lattice", "chain3")
     assert code == 1
     assert json.loads(out)["verdict"] == "no_counterexample"
+
+
+def _lattice_file(tmp_path, **fields):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"elements": ["0", "1"], "leq": BOOL_LEQ, **fields}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--kind", "metric", "--sizes", "three"),
+        ("gen", "--kind", "translation", "--sizes", "1,1,3,x"),
+        ("gen", "--kind", "projection", "--sizes", "2.5,2,2,2"),
+        ("gen", "--kind", "random", "--sizes", "2,2", "--density", "1.5"),
+        ("gen", "--kind", "random-fuzzy", "--sizes", "2,2", "--density", "-0.1"),
+        ("gen", "--kind", "random", "--sizes", "2,2", "--density", "nan"),
+        ("laws", "--sizes", "3,2,2", "--exhaustive"),
+        ("search", "--law", "modular", "--sizes", "2,3,2", "--exhaustive"),
+        ("sms",),
+    ],
+)
+def test_cli_bad_arguments_exit_three(capsys, argv):
+    assert run_cli(capsys, *argv) == (3, "")
+
+
+def test_cli_bad_lattice_files_exit_three(tmp_path, capsys):
+    ragged = _lattice_file(tmp_path, leq=[[True, True], [False]])
+    assert run_cli(capsys, "validate", "--lattice", ragged) == (3, "")
+    ragged = _lattice_file(tmp_path, tnorm=[["0", "0"], ["1"]])
+    assert run_cli(capsys, "validate", "--lattice", ragged) == (3, "")
+    # rows are lists of labels, not strings spelling them out
+    strings = _lattice_file(tmp_path, tnorm=["00", "01"])
+    assert run_cli(capsys, "validate", "--lattice", strings) == (3, "")
+
+
+def test_cli_unknown_alpha_exits_three(tmp_path, capsys):
+    rf = tmp_path / "rf.json"
+    run_cli(capsys, "gen", "--kind", "random-fuzzy", "--sizes", "2,2", "--seed", "9",
+            "--lattice", "chain3", "--out", str(rf))
+    assert run_cli(capsys, "cut", "--rep", str(rf), "--alpha", "nowhere") == (3, "")
+
+
+def test_cli_internal_errors_propagate(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "id.json"
+    run_cli(capsys, "gen", "--kind", "identity", "--sizes", "2", "--out", str(path))
+
+    def broken(rep):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(crisp, "sms", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["sms", "--rep", str(path)])

@@ -1,9 +1,14 @@
+import random
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ambrel import oracle
 from ambrel.catalog import (
+    _all_posets,
     all_distributive_lattices,
     boolean_square,
     chain,
@@ -12,7 +17,8 @@ from ambrel.catalog import (
     pentagon_leq,
 )
 from ambrel.errors import ValidationError
-from ambrel.lattice import validate_lattice, validate_tnorm, way_below
+from ambrel.hyperencoding import _grade_tables
+from ambrel.lattice import meet_tnorm, validate_lattice, validate_tnorm, way_below
 
 
 def test_chain_join_meet_are_max_min():
@@ -139,6 +145,11 @@ def test_lattice_equality_and_hash():
     assert chain(3) == chain(3)
     assert chain(3) != chain(4)
     assert len({chain(3), chain(3), boolean_square()}) == 2
+    # equal t-norms hash alike whatever their names
+    c = chain(3)
+    named, plain = meet_tnorm(c), validate_tnorm(c, c.meet_table)
+    assert named == plain and hash(named) == hash(plain)
+    assert len({named, plain, lukasiewicz(c)}) == 2
 
 
 @pytest.mark.parametrize(
@@ -169,3 +180,116 @@ def test_birkhoff_encoding(lat):
             assert lat.down[lat.join(a, b)] == lat.down[a] | lat.down[b]
             assert lat.down[lat.meet(a, b)] == lat.down[a] & lat.down[b]
     assert np.array_equal(lat.from_down(lat.down), np.arange(n))
+
+
+# -- twins: the array checks against the loops in ambrel.oracle ------------------
+
+
+def _outcome(fn, *args):
+    """Every table of the result, or the code, witness and message of the
+    ValidationError."""
+    try:
+        out = fn(*args)
+    except ValidationError as err:
+        return err.code, err.witness, str(err)
+    if hasattr(out, "table"):
+        return out.lattice, out.name, out.table.dtype, out.table.tolist()
+    return (
+        out.elements, out.leq.tolist(), out.join_table.dtype, out.join_table.tolist(),
+        out.meet_table.tolist(), out.bottom, out.top, out.irreducibles, out.down.tolist(),
+    )
+
+
+def _random_poset(rng, n):
+    # a transitively closed random upper-triangular relation, relabelled
+    mat = np.triu(np.array([[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]), 1)
+    mat |= np.eye(n, dtype=bool)
+    for _ in range(n):
+        mat = mat.astype(np.intp) @ mat.astype(np.intp) > 0
+    perm = rng.sample(range(n), n)
+    return mat[np.ix_(perm, perm)].tolist()
+
+
+def _random_matrix(rng, n):
+    density = rng.random()
+    mat = [[rng.random() < density for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.7:  # reflexive, so the later checks are reached
+        for i in range(n):
+            mat[i][i] = True
+    return mat
+
+
+def test_validate_lattice_matches_loops():
+    rng = random.Random(7)
+    corpus = [mat for n in range(1, 5) for mat in _all_posets(n)]
+    corpus += [_random_poset(rng, 5) for _ in range(1500)]
+    corpus += [_random_matrix(rng, rng.randint(1, 7)) for _ in range(3000)]
+    assert len(corpus) == 4742
+    codes = set()
+    for mat in corpus:
+        labels = [f"e{i}" for i in range(len(mat))]
+        got = _outcome(validate_lattice, labels, mat)
+        assert got == _outcome(oracle.validate_lattice_loops, labels, mat)
+        codes.add(got[2] if len(got) == 3 else "valid")
+    assert codes == {
+        "valid", "leq not reflexive", "leq not antisymmetric", "leq not transitive",
+        "pair has no unique least upper bound", "pair has no unique greatest lower bound",
+        "meet does not distribute over join",
+    }
+
+
+def _tnorm_bases():
+    lats = [chain(n) for n in range(1, 9)] + [boolean_square()] + list(all_distributive_lattices(6))
+    return [(lat, lat.meet_table) for lat in lats] + [
+        (lat, lukasiewicz(lat).table) for lat in lats[:8]
+    ]
+
+
+def test_validate_tnorm_matches_loops():
+    rng = random.Random(11)
+    bases = _tnorm_bases()
+    codes = set()
+    checked = 0
+    for lat, base in bases:
+        n = lat.size
+        for _ in range(4320 // len(bases)):
+            table = base.copy()
+            for _ in range(rng.randint(0, 2)):
+                a, b, g = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                table[a, b] = g
+                if rng.random() < 0.6:  # keep it commutative
+                    table[b, a] = g
+            got = _outcome(validate_tnorm, lat, table)
+            assert got == _outcome(oracle.validate_tnorm_loops, lat, table)
+            codes.add(got[0] if len(got) == 3 else "valid")
+            checked += 1
+    assert checked == 4320
+    assert codes == {
+        "valid", "NotCommutative", "NotAssociative", "TopNotNeutral", "NotMonotone",
+        "NotJoinDistributive",
+    }
+
+
+def test_chain_queries_match_loops():
+    for lat in [chain(n) for n in range(1, 5)] + list(all_distributive_lattices(6)):
+        n = lat.size
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        apart = [(a, b) for a, b in pairs if not lat.le(a, b) and not lat.le(b, a)]
+        assert lat.is_chain() == (not apart)
+        assert lat.incomparable_pair() == (apart[0] if apart else None)
+
+
+def test_grade_tables_match_family_join():
+    lats = {lat for lat in all_distributive_lattices(4)}
+    lats.update(chain(n) for n in range(1, 5))
+    lats.add(boolean_square())
+    for lat in lats:
+        n = lat.size
+        tables = _grade_tables(lat)
+        for mask in range(1 << n):
+            grades = [g for g in range(n) if mask >> g & 1]
+            assert tables.join_of[mask] == lat.family_join(grades)
+            below = [b for b in range(n) if any(lat.le(b, g) for g in grades)]
+            assert tables.down[mask] == sum(1 << b for b in below)
+        for g in range(n):
+            assert tables.below[g, 0] == tables.down[1 << g]

@@ -129,6 +129,47 @@ class FiniteLattice:
         return f"FiniteLattice({list(self.elements)})"
 
 
+def _boolean_type(t: type) -> bool:
+    return t is bool or t is np.bool_
+
+
+def _integer_type(t: type) -> bool:
+    return t is not bool and issubclass(t, (int, np.integer))
+
+
+# per kind of entry: the array's dtype, the dtype kinds an array may have,
+# and the test of the type of an entry of a nested sequence
+_ENTRIES = {"booleans": (bool, "b", _boolean_type), "integers": (np.intp, "iu", _integer_type)}
+
+
+def _square(matrix, n: int, what: str, entries: str) -> np.ndarray:
+    """``matrix`` as an ``n x n`` array of ``entries`` ("booleans" or "integers").
+
+    ``np.asarray`` would read any truthy value as ``True``, truncate
+    floats and parse digit strings as integers, and it fails on ragged
+    rows with a bare ``ValueError``; each of these is ``BadMatrix`` here.
+    An array is checked by its dtype, nested sequences by the types of
+    their entries.
+    """
+    dtype, kinds, entry_type = _ENTRIES[entries]
+    if isinstance(matrix, np.ndarray):
+        typed = matrix.dtype.kind in kinds
+    else:
+        try:
+            matrix = [list(row) for row in matrix]
+        except TypeError:
+            raise ValidationError("BadMatrix", f"{what} must be a sequence of rows") from None
+        if len({len(row) for row in matrix}) > 1:
+            raise ValidationError("BadMatrix", f"{what} rows differ in length")
+        typed = all(map(entry_type, {type(v) for row in matrix for v in row}))
+    if not typed:
+        raise ValidationError("BadMatrix", f"{what} entries must be {entries}")
+    mat = np.asarray(matrix, dtype=dtype)
+    if mat.shape != (n, n):
+        raise ValidationError("BadMatrix", f"{what} must be {n}x{n}, got {mat.shape}")
+    return mat
+
+
 def _raise_first(labels: Sequence[str], *checks) -> None:
     """Raise the violation that nested loops over the indices meet first.
 
@@ -165,6 +206,7 @@ def validate_lattice(elements: Sequence[str], leq: Sequence[Sequence[bool]]) -> 
 
     Raises :class:`ValidationError` naming the first violated axiom with a
     witness: ``NotAPartialOrder``, ``MissingBound`` or ``NotDistributive``.
+    An order matrix that is not n x n booleans is ``BadMatrix``.
     Each check is one array over the index tuples it quantifies, and the
     witness is the violation that nested loops over them meet first
     (:func:`ambrel.oracle.validate_lattice_loops`).  No check looks for a
@@ -179,9 +221,7 @@ def validate_lattice(elements: Sequence[str], leq: Sequence[Sequence[bool]]) -> 
         raise ValidationError("DuplicateElement", f"duplicate labels in {elements}")
     if n > MAX_LATTICE:
         raise ValidationError("LatticeTooLarge", f"at most {MAX_LATTICE} elements, got {n}")
-    mat = np.asarray(leq, dtype=bool)
-    if mat.shape != (n, n):
-        raise ValidationError("BadMatrix", f"leq must be {n}x{n}, got {mat.shape}")
+    mat = _square(leq, n, "leq", "booleans")
 
     _raise_first(elements, ("NotAPartialOrder", "leq not reflexive", ~mat.diagonal()))
     _raise_first(
@@ -249,14 +289,13 @@ class TNormTable:
 
 def validate_tnorm(lat: FiniteLattice, table, name: str = "tnorm") -> TNormTable:
     """Check associativity, commutativity, neutrality of top, monotonicity
-    and distributivity over join; return the validated table.
+    and distributivity over join; return the validated table.  A table
+    that is not n x n integer element indices is ``BadMatrix``.
 
     As in :func:`validate_lattice`, each check is one array and the
     witness is the violation nested loops meet first."""
-    tab = np.asarray(table, dtype=np.intp)
     n = lat.size
-    if tab.shape != (n, n):
-        raise ValidationError("BadMatrix", f"table must be {n}x{n}, got {tab.shape}")
+    tab = _square(table, n, "table", "integers")
     if tab.min() < 0 or tab.max() >= n:
         raise ValidationError("BadMatrix", "table entries must be element indices")
 

@@ -2,26 +2,31 @@
 
 Every formula-driven operator in the package has a quantifier-literal
 re-implementation here, sharing no code with the fast paths, so that
-agreement between the two is meaningful evidence.  These are used by the
-test suite and the ``laws`` command only; they make no attempt at speed.
+agreement between the two is meaningful evidence.  The crisp law suite
+is the exception: each law is stated once, in ``laws``, and its twin
+here checks the operation tables by evaluating the statements one
+instance at a time.  These are used by the test suite and the
+benchmark's output checks; they make no attempt at speed.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import crisp
 from .capacity import LCapacity, capacity_subgraph
+from .catalog import all_crisp_reps
 from .crisp import CrispAmbRep
 from .errors import LatticeTooLarge, SpaceMismatch, ValidationError
 from .fuzzy import LFuzzyAmbRep
 from .hyperencoding import TernaryHyperRelation
 from .hyperspace import FiniteSpace
 from .lattice import MAX_LATTICE, FiniteLattice, TNormTable
+from .laws import CRISP_LAWS, LawResult
 
 
 def _nonempty_subsets(n: int):
@@ -225,6 +230,30 @@ def plus_literal(t: TernaryHyperRelation) -> TernaryHyperRelation:
             floor.add((fam, t.target.full, alpha))
     floored = TernaryHyperRelation.from_triples(t.source, t.target, lat, floor)
     return sup_saturate_fixpoint(subset_saturate_per_cell(floored))
+
+
+# -- crisp law suites, one instance at a time --------------------------------------
+
+
+def check_laws_per_instance(
+    x: FiniteSpace, y: FiniteSpace, z: FiniteSpace
+) -> dict[str, LawResult]:
+    """``laws.check_laws(x, y, z, exhaustive=True)`` without operation
+    tables: each law's evaluator runs on every argument tuple of the
+    enumerated pools in ``itertools.product`` order and stops at the first
+    witness.  Ungated; the count of instances grows doubly exponentially."""
+    spaces = {"x": x, "y": y, "z": z}
+    results = {}
+    for law in CRISP_LAWS:
+        res = LawResult(law.name, law.asserted)
+        pools = [list(all_crisp_reps(spaces[hom[0]], spaces[hom[1]])) for hom in law.homs]
+        for args in product(*pools):
+            res.checked += 1
+            res.witness = law.evaluate(*args)
+            if res.witness is not None:
+                break
+        results[law.name] = res
+    return results
 
 
 # -- graded kernels, one pair at a time ------------------------------------------
@@ -474,6 +503,37 @@ def validate_subgraph_loops(
 # -- lattices and t-norms, one index at a time ------------------------------------
 
 
+def _square_loops(matrix, n: int, what: str, entries: str) -> np.ndarray:
+    """``lattice._square`` one row and one entry at a time."""
+    if isinstance(matrix, np.ndarray):
+        if matrix.dtype.kind not in ("b" if entries == "booleans" else "iu"):
+            raise ValidationError("BadMatrix", f"{what} entries must be {entries}")
+        rows = matrix
+    else:
+        if not hasattr(matrix, "__iter__"):
+            raise ValidationError("BadMatrix", f"{what} must be a sequence of rows")
+        rows = []
+        for row in matrix:
+            if not hasattr(row, "__iter__"):
+                raise ValidationError("BadMatrix", f"{what} must be a sequence of rows")
+            rows.append(list(row))
+        for row in rows:
+            if len(row) != len(rows[0]):
+                raise ValidationError("BadMatrix", f"{what} rows differ in length")
+        for row in rows:
+            for v in row:
+                if entries == "booleans":
+                    ok = type(v) in (bool, np.bool_)
+                else:
+                    ok = type(v) is not bool and isinstance(v, (int, np.integer))
+                if not ok:
+                    raise ValidationError("BadMatrix", f"{what} entries must be {entries}")
+    mat = np.array(rows, dtype=bool if entries == "booleans" else np.intp)
+    if mat.shape != (n, n):
+        raise ValidationError("BadMatrix", f"{what} must be {n}x{n}, got {mat.shape}")
+    return mat
+
+
 def validate_lattice_loops(elements: Sequence[str], leq: Sequence[Sequence[bool]]) -> FiniteLattice:
     """``lattice.validate_lattice`` by nested loops over element indices,
     raising at the first violation in loop order.
@@ -490,9 +550,7 @@ def validate_lattice_loops(elements: Sequence[str], leq: Sequence[Sequence[bool]
         raise ValidationError("DuplicateElement", f"duplicate labels in {elements}")
     if n > MAX_LATTICE:
         raise ValidationError("LatticeTooLarge", f"at most {MAX_LATTICE} elements, got {n}")
-    mat = np.asarray(leq, dtype=bool)
-    if mat.shape != (n, n):
-        raise ValidationError("BadMatrix", f"leq must be {n}x{n}, got {mat.shape}")
+    mat = _square_loops(leq, n, "leq", "booleans")
 
     def wit(*idx):
         return [elements[i] for i in idx]
@@ -561,10 +619,8 @@ def validate_lattice_loops(elements: Sequence[str], leq: Sequence[Sequence[bool]
 def validate_tnorm_loops(lat: FiniteLattice, table, name: str = "tnorm") -> TNormTable:
     """``lattice.validate_tnorm`` by nested loops over element indices,
     raising at the first violation in loop order."""
-    tab = np.asarray(table, dtype=np.intp)
     n = lat.size
-    if tab.shape != (n, n):
-        raise ValidationError("BadMatrix", f"table must be {n}x{n}, got {tab.shape}")
+    tab = _square_loops(table, n, "table", "integers")
     if tab.min() < 0 or tab.max() >= n:
         raise ValidationError("BadMatrix", "table entries must be element indices")
 

@@ -293,3 +293,62 @@ def test_grade_tables_match_family_join():
             assert tables.down[mask] == sum(1 << b for b in below)
         for g in range(n):
             assert tables.below[g, 0] == tables.down[1 << g]
+
+
+# -- matrices that numpy would coerce: BadMatrix before any axiom ------------------
+
+_BAD_LEQ = [
+    [[1, "yes"], [0, 2]],  # would read as the chain a < b
+    [[1, 1], [0, 1]],
+    [[True, 1.0], [False, True]],
+    [[True, True], [False]],  # ragged
+    [[True, True], [False, True, False]],
+    ["ab", "ba"],
+    [True, False],
+    None,
+    np.array([[1, 1], [0, 1]]),
+]
+
+_BAD_TNORM = [
+    [[0.9, 0.2], [0, 1.7]],  # would truncate to the meet table
+    [["0", "0"], ["0", "1"]],  # would parse to the meet table
+    [[False, False], [False, True]],
+    [[0, 0], [0]],  # ragged
+    [[0], [0, 1]],
+    ["00", "01"],
+    [0, 1],
+    7,
+    np.array([[0.0, 0.0], [0.0, 1.0]]),
+]
+
+
+@pytest.mark.parametrize("leq", _BAD_LEQ)
+def test_leq_must_be_a_boolean_matrix(leq):
+    with pytest.raises(ValidationError) as err:
+        validate_lattice(["a", "b"], leq)
+    assert err.value.code == "BadMatrix"
+    got = _outcome(validate_lattice, ["a", "b"], leq)
+    assert got == _outcome(oracle.validate_lattice_loops, ["a", "b"], leq)
+
+
+@pytest.mark.parametrize("table", _BAD_TNORM)
+def test_tnorm_must_be_an_integer_matrix(table):
+    with pytest.raises(ValidationError) as err:
+        validate_tnorm(chain(2), table)
+    assert err.value.code == "BadMatrix"
+    got = _outcome(validate_tnorm, chain(2), table)
+    assert got == _outcome(oracle.validate_tnorm_loops, chain(2), table)
+
+
+def test_typed_matrices_still_accepted():
+    c = chain(2)
+    leq = [[True, True], [False, True]]
+    for same in (np.array(leq), [np.array(row) for row in leq], [tuple(row) for row in leq]):
+        assert validate_lattice(["0", "1"], same) == c
+        assert _outcome(validate_lattice, ["0", "1"], same) == _outcome(
+            oracle.validate_lattice_loops, ["0", "1"], same
+        )
+    meet = [[0, 0], [0, 1]]
+    for same in (np.array(meet, dtype=np.uint8), [np.array(row) for row in meet], c.meet_table):
+        assert validate_tnorm(c, same) == meet_tnorm(c)
+        assert _outcome(validate_tnorm, c, same) == _outcome(oracle.validate_tnorm_loops, c, same)

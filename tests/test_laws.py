@@ -1,9 +1,17 @@
-from ambrel import crisp
+import hashlib
+from itertools import product
+
+import pytest
+
+from ambrel import crisp, io, oracle
 from ambrel.catalog import boolean_square, chain
+from ambrel.errors import SpaceTooLarge
+from ambrel.hyperspace import space
 from ambrel.io import crisp_rep_from
 from ambrel.laws import (
     ASSERTED_CRISP,
     ASSERTED_FUZZY,
+    SEARCHABLE,
     check_fuzzy_laws,
     check_laws,
     law_meet_distributivity,
@@ -60,3 +68,67 @@ def test_law_report_payload_shape(x2, y2, z2):
     for res in results.values():
         payload = res.payload()
         assert set(payload) == {"law", "asserted", "verdict", "instances_checked", "witness"}
+
+
+def _spaces(sizes):
+    return [space(*(f"{name}{i}" for i in range(1, k + 1))) for name, k in zip("xyz", sizes)]
+
+
+@pytest.mark.parametrize("sizes", list(product((1, 2), repeat=3)))
+def test_exhaustive_suite_matches_per_instance_loop(sizes):
+    # verdict, instances_checked and witness of every law
+    x, y, z = _spaces(sizes)
+    got = {name: res.payload() for name, res in check_laws(x, y, z, exhaustive=True).items()}
+    want = {name: res.payload() for name, res in oracle.check_laws_per_instance(x, y, z).items()}
+    assert got == want
+
+
+def test_exhaustive_suite_finds_witnesses_and_full_counts(x2, y2, z2):
+    # the twin test above is only as strong as the laws it reaches both ways
+    results = check_laws(x2, y2, z2, exhaustive=True)
+    assert not results["anti-involution"].holds
+    assert not results["meet-distributivity"].holds
+    assert results["associativity"].holds
+    assert results["associativity"].checked == 25**3
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (3, "741f7c7132a73fe1c200e769066b0e0296ad2f0b7c72b210840b93cb299b981e"),
+        (11, "300134e0dd804849e9c3932d999e20fd7f6bec5e3cb664140f8f4b5c50bb42f8"),
+    ],
+)
+def test_sampled_payloads_unchanged(seed, digest):
+    # sampled suites run instance by instance; pinned at every triple in {1,2}^3
+    h = hashlib.sha256()
+    for sizes in product((1, 2), repeat=3):
+        results = check_laws(*_spaces(sizes), trials=30, seed=seed)
+        h.update(io.dumps([res.payload() for res in results.values()]).encode())
+    assert h.hexdigest() == digest
+
+
+def test_exhaustive_gate_in_python_api(x3, y2, z2):
+    with pytest.raises(SpaceTooLarge):
+        check_laws(x3, y2, z2, exhaustive=True)
+    for law in SEARCHABLE:
+        with pytest.raises(SpaceTooLarge):
+            search_law(law, y2, x3, z2, exhaustive=True)
+
+
+def test_exhaustive_suite_calls_rebound_crisp_operations(monkeypatch):
+    # a profiler rebinds crisp functions by module attribute, with wrappers
+    # that need not keep the name; the tables must see them and keep apart
+    x, y, z = _spaces((1, 2, 2))
+    want = {name: res.payload() for name, res in check_laws(x, y, z, exhaustive=True).items()}
+    calls = dict.fromkeys(("compose", "join", "meet", "sms"), 0)
+    for name in calls:
+
+        def counted(*args, fn=getattr(crisp, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(crisp, name, counted)
+    got = {name: res.payload() for name, res in check_laws(x, y, z, exhaustive=True).items()}
+    assert got == want
+    assert all(calls.values()), calls

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import crisp, fuzzy, generators, io
 from .capacity import capacity_of
@@ -40,7 +41,9 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    # built once: parse_args fills a fresh namespace on every call
     p = _Parser(prog="ambrel", description=__doc__)
     sub = p.add_subparsers(dest="verb", required=True)
 
@@ -170,6 +173,9 @@ def _run(args) -> int:
         if isinstance(rep1, fuzzy.LFuzzyAmbRep) != isinstance(rep2, fuzzy.LFuzzyAmbRep):
             raise MalformedInput("cannot mix crisp and graded representations")
         if isinstance(rep1, fuzzy.LFuzzyAmbRep):
+            if tn1 is not None and tn2 is not None and tn1 != tn2:
+                # the output embeds one of them, so their order would matter
+                raise SpaceMismatch("the two representation files embed different t-norms")
             op = {"compose": None, "join": fuzzy.join, "meet": fuzzy.meet}[args.verb]
             if args.verb == "compose":
                 tn = _resolve_tnorm(args.tnorm, rep1.lattice, tn1 or tn2)

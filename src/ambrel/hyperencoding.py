@@ -82,6 +82,7 @@ class TernaryHyperRelation:
 
     @classmethod
     def from_triples(cls, source, target, lattice, triples) -> "TernaryHyperRelation":
+        _gate(source, lattice)  # before allocating 2^(2^n - 1) rows
         m = np.zeros((1 << source.full, target.full + 1), np.uint8)
         for fam, b, alpha in triples:
             if not 1 <= fam <= (1 << source.full) - 1 or not 1 <= b <= target.full:

@@ -57,6 +57,11 @@ class FiniteSpace:
         return range(1, self.full + 1)
 
     def subset(self, labels: Iterable[str]) -> int:
+        labels = tuple(labels)
+        try:
+            return _mask_table(self)[labels]
+        except (KeyError, TypeError):
+            pass  # out of point order, repeated, unknown or unhashable labels
         mask = 0
         for lab in labels:
             try:
@@ -66,7 +71,8 @@ class FiniteSpace:
         return mask
 
     def labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(p for i, p in enumerate(self.points) if mask >> i & 1)
+        """Labels of the points in ``mask`` (``0 .. full``), in point order."""
+        return _label_table(self)[mask]
 
 
 def space(*points: str) -> FiniteSpace:
@@ -166,6 +172,22 @@ def _shrink_index(space: FiniteSpace) -> np.ndarray:
     masks = np.arange(space.full + 1)[:, None]
     smaller = masks & ~(1 << np.arange(space.size))
     return _frozen(np.where(smaller == 0, masks, smaller))
+
+
+@lru_cache(maxsize=None)
+def _label_table(space: FiniteSpace) -> tuple[tuple[str, ...], ...]:
+    # _label_table(X)[m] = labels of the points in mask m, in point order,
+    # for every mask m from 0 to X.full
+    return tuple(
+        tuple(p for i, p in enumerate(space.points) if m >> i & 1) for m in range(space.full + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _mask_table(space: FiniteSpace) -> dict[tuple[str, ...], int]:
+    # _mask_table(X)[labels] = m, the inverse of _label_table(X); only
+    # label tuples in point order without repeats are keys
+    return {labels: m for m, labels in enumerate(_label_table(space))}
 
 
 @lru_cache(maxsize=None)

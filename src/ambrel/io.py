@@ -18,7 +18,7 @@ from .capacity import LCapacity, validate_capacity
 from .crisp import CrispAmbRep
 from .errors import MalformedInput, ValidationError
 from .fuzzy import LFuzzyAmbRep
-from .hyperspace import FiniteSpace, family_of, members
+from .hyperspace import FiniteSpace, _label_table, _mask_table, family_of, members
 from .hyperencoding import TernaryHyperRelation
 from .lattice import FiniteLattice, TNormTable, validate_lattice, validate_tnorm
 
@@ -49,8 +49,25 @@ def subset_from(space: FiniteSpace, payload) -> int:
         raise MalformedInput(str(e)) from None
 
 
+def _subset_reader(space: FiniteSpace):
+    """:func:`subset_from` for one space, through its mask table: labels
+    in point order are one lookup; anything else takes the checked path."""
+    table = _mask_table(space)
+
+    def read(payload) -> int:
+        if isinstance(payload, list):
+            try:
+                return table[tuple(payload)]
+            except (KeyError, TypeError):
+                pass
+        return subset_from(space, payload)
+
+    return read
+
+
 def family_payload(space: FiniteSpace, family: int) -> list[list[str]]:
-    return [subset_payload(space, s) for s in members(family)]
+    names = _label_table(space)
+    return [list(names[s]) for s in members(family)]
 
 
 # -- lattices --------------------------------------------------------------------
@@ -59,12 +76,12 @@ def family_payload(space: FiniteSpace, family: int) -> list[list[str]]:
 def lattice_payload(lat: FiniteLattice, tnorm: TNormTable | None = None) -> dict:
     payload: dict[str, Any] = {
         "elements": list(lat.elements),
-        "leq": [[bool(lat.leq[i, j]) for j in range(lat.size)] for i in range(lat.size)],
+        "leq": lat.leq.tolist(),
     }
     payload["tnorm"] = (
         None
         if tnorm is None
-        else [[lat.elements[int(tnorm.table[i, j])] for j in range(lat.size)] for i in range(lat.size)]
+        else [[lat.elements[k] for k in row] for row in tnorm.table.tolist()]
     )
     return payload
 
@@ -105,13 +122,11 @@ def lattice_from(payload) -> tuple[FiniteLattice, TNormTable | None]:
 
 
 def crisp_rep_payload(rep: CrispAmbRep) -> dict:
+    src, tgt = _label_table(rep.source), _label_table(rep.target)
     return {
         "source": space_payload(rep.source),
         "target": space_payload(rep.target),
-        "pairs": [
-            [subset_payload(rep.source, a), subset_payload(rep.target, b)]
-            for a, b in rep.pairs()
-        ],
+        "pairs": [[list(src[a]), list(tgt[b])] for a, b in rep.pairs()],
     }
 
 
@@ -120,10 +135,9 @@ def crisp_rep_from(payload) -> CrispAmbRep:
         raise MalformedInput("a representation needs 'source', 'target' and 'pairs'")
     source = space_from(payload["source"])
     target = space_from(payload["target"])
+    read_a, read_b = _subset_reader(source), _subset_reader(target)
     try:
-        pairs = [
-            (subset_from(source, a), subset_from(target, b)) for a, b in payload["pairs"]
-        ]
+        pairs = [(read_a(a), read_b(b)) for a, b in payload["pairs"]]
     except (TypeError, ValueError) as e:
         raise MalformedInput(f"bad pair list: {e}") from None
     seed = payload.get("seed", False)
@@ -139,15 +153,16 @@ def crisp_rep_from(payload) -> CrispAmbRep:
 
 def fuzzy_rep_payload(rep: LFuzzyAmbRep, tnorm: TNormTable | None = None) -> dict:
     lat = rep.lattice
-    grades = []
-    for a in rep.source.subsets():
-        for b in rep.target.subsets():
-            g = rep.grade(a, b)
-            if b == rep.target.full or g == lat.bottom:
-                continue  # defaults: bottom everywhere, top on the full target
-            grades.append(
-                [subset_payload(rep.source, a), subset_payload(rep.target, b), lat.elements[g]]
-            )
+    src, tgt = _label_table(rep.source), _label_table(rep.target)
+    # defaults: bottom everywhere, top on the full target; nonzero keeps
+    # the row-major order (source mask, then target mask)
+    listed = rep.grades != lat.bottom
+    listed[:, -1] = False
+    rows, cols = np.nonzero(listed)
+    grades = [
+        [list(src[a + 1]), list(tgt[b + 1]), lat.elements[g]]
+        for a, b, g in zip(rows.tolist(), cols.tolist(), rep.grades[rows, cols].tolist())
+    ]
     return {
         "source": space_payload(rep.source),
         "target": space_payload(rep.target),
@@ -165,9 +180,10 @@ def fuzzy_rep_from(payload) -> tuple[LFuzzyAmbRep, TNormTable | None]:
     lat, tn = lattice_from(payload["lattice"])
     table = np.full((source.full, target.full), lat.bottom, dtype=np.intp)
     table[:, target.full - 1] = lat.top
+    read_a, read_b = _subset_reader(source), _subset_reader(target)
     try:
         entries = [
-            (subset_from(source, a_labels), subset_from(target, b_labels), lat.index(g_label))
+            (read_a(a_labels), read_b(b_labels), lat.index(g_label))
             for a_labels, b_labels, g_label in payload["grades"]
         ]
     except (TypeError, ValueError, KeyError) as e:
@@ -240,12 +256,9 @@ def capacity_from(payload) -> LCapacity:
 
 def hyper_payload(t: TernaryHyperRelation) -> dict:
     lat = t.lattice
+    src, tgt = _label_table(t.source), _label_table(t.target)
     triples = [
-        [
-            [subset_payload(t.source, a) for a in members(fam)],
-            subset_payload(t.target, b),
-            lat.elements[alpha],
-        ]
+        [[list(src[a]) for a in members(fam)], list(tgt[b]), lat.elements[alpha]]
         for fam, b, alpha in t.triples()
     ]
     return {
@@ -263,13 +276,10 @@ def hyper_from(payload) -> TernaryHyperRelation:
     source = space_from(payload["source"])
     target = space_from(payload["target"])
     lat, _ = lattice_from(payload["lattice"])
+    read_a, read_b = _subset_reader(source), _subset_reader(target)
     try:
         entries = [
-            (
-                [subset_from(source, a_labels) for a_labels in fam_labels],
-                subset_from(target, b_labels),
-                lat.index(g_label),
-            )
+            ([read_a(a_labels) for a_labels in fam_labels], read_b(b_labels), lat.index(g_label))
             for fam_labels, b_labels, g_label in payload["triples"]
         ]
     except (TypeError, ValueError, KeyError) as e:
@@ -296,7 +306,7 @@ def dumps(payload) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also over-long integers and deep nesting
         raise MalformedInput(f"not valid JSON: {e}") from None
 
 

@@ -37,11 +37,12 @@ class FiniteLattice:
 
     __slots__ = (
         "elements", "leq", "join_table", "meet_table", "bottom", "top",
-        "irreducibles", "down", "_sorted_down", "_by_down",
+        "irreducibles", "down", "_sorted_down", "_by_down", "_index",
     )
 
     def __init__(self, elements, leq, join_table, meet_table, bottom, top, irreducibles, down):
         self.elements: tuple[str, ...] = tuple(elements)
+        self._index = {label: i for i, label in enumerate(self.elements)}
         self.leq = leq
         self.join_table = join_table
         self.meet_table = meet_table
@@ -66,8 +67,8 @@ class FiniteLattice:
 
     def index(self, label: str) -> int:
         try:
-            return self.elements.index(label)
-        except ValueError:
+            return self._index[label]
+        except (KeyError, TypeError):  # unknown or unhashable
             raise KeyError(f"unknown lattice element {label!r}") from None
 
     def le(self, a: int, b: int) -> bool:

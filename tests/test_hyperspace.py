@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,3 +126,66 @@ def test_inclusion_hyperspace_type():
 def test_members_iteration():
     assert list(members(family_of([2, 5]))) == [2, 5]
     assert list(members(0)) == []
+
+
+# -- label <-> mask codec --------------------------------------------------------
+
+
+def _labels_loop(X, mask):
+    # the per-point loop FiniteSpace.labels replaced by a table lookup
+    return tuple(p for i, p in enumerate(X.points) if mask >> i & 1)
+
+
+def _subset_loop(X, labels):
+    # the per-label loop FiniteSpace.subset now runs only on a table miss
+    mask = 0
+    for lab in labels:
+        try:
+            mask |= 1 << X.points.index(lab)
+        except ValueError:
+            raise KeyError(f"unknown point {lab!r} in space {X.points}") from None
+    return mask
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_labels_and_subset_are_inverse_tables(n):
+    X = space(*(f"p{i}" for i in range(n)))
+    for m in range(X.full + 1):
+        assert X.labels(m) == _labels_loop(X, m)
+        assert X.subset(X.labels(m)) == m
+        assert X.subset(list(X.labels(m))) == m
+        assert X.subset(iter(X.labels(m))) == m
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_subset_accepts_any_order_and_repeats(n):
+    X = space(*(f"p{i}" for i in range(n)))
+    for m in X.subsets():
+        labels = X.labels(m)
+        for perm in itertools.permutations(labels):
+            assert X.subset(list(perm)) == m == _subset_loop(X, perm)
+            for k in range(len(perm)):
+                repeated = list(perm) + [perm[k]]
+                assert X.subset(repeated) == m == _subset_loop(X, repeated)
+
+
+def test_subset_point_order_is_the_space_order():
+    X = space("b", "a")
+    assert X.labels(3) == ("b", "a")
+    assert X.subset(["b", "a"]) == X.subset(["a", "b"]) == 3
+    assert X.subset(["a"]) == 2
+
+
+@pytest.mark.parametrize(
+    "labels, bad",
+    [(["x1", "nowhere"], "'nowhere'"), (["x2", 1], "1"), ([["x1"]], "['x1']"),
+     ([None], "None"), ([{"x1": 1}], "{'x1': 1}")],
+)
+def test_subset_errors_unchanged(labels, bad):
+    X = space("x1", "x2")
+    with pytest.raises(KeyError) as info:
+        X.subset(labels)
+    assert info.value.args == (f"unknown point {bad} in space ('x1', 'x2')",)
+    with pytest.raises(KeyError) as loop:
+        _subset_loop(X, labels)
+    assert loop.value.args == info.value.args

@@ -2,12 +2,13 @@ import json
 
 import pytest
 
-from ambrel import crisp, fuzzy, io
-from ambrel.catalog import lukasiewicz
+from ambrel import cli, crisp, fuzzy, io
+from ambrel.catalog import chain, lukasiewicz
 from ambrel.cli import main
-from ambrel.errors import MalformedInput, ValidationError
+from ambrel.errors import MalformedInput, SpaceTooLarge, ValidationError
 from ambrel.generators import random_capacity, random_fuzzy_rep, random_rep
 from ambrel.hyperencoding import encode
+from ambrel.hyperspace import space
 from ambrel.lattice import meet_tnorm
 
 
@@ -391,3 +392,226 @@ def test_cli_internal_errors_propagate(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(crisp, "sms", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["sms", "--rep", str(path)])
+
+
+# -- writers and readers through the per-space label tables ---------------------
+
+
+def _names(X, mask):
+    return [p for i, p in enumerate(X.points) if mask >> i & 1]
+
+
+def _lattice_payload_loop(lat, tnorm=None):
+    n = lat.size
+    return {
+        "elements": list(lat.elements),
+        "leq": [[bool(lat.leq[i, j]) for j in range(n)] for i in range(n)],
+        "tnorm": None if tnorm is None else [
+            [lat.elements[int(tnorm.table[i, j])] for j in range(n)] for i in range(n)
+        ],
+    }
+
+
+def _crisp_payload_loop(rep):
+    return {
+        "source": list(rep.source.points),
+        "target": list(rep.target.points),
+        "pairs": [[_names(rep.source, a), _names(rep.target, b)] for a, b in rep.pairs()],
+    }
+
+
+def _fuzzy_payload_loop(rep, tnorm=None):
+    lat = rep.lattice
+    grades = []
+    for a in rep.source.subsets():
+        for b in rep.target.subsets():
+            g = rep.grade(a, b)
+            if b == rep.target.full or g == lat.bottom:
+                continue
+            grades.append([_names(rep.source, a), _names(rep.target, b), lat.elements[g]])
+    return {
+        "source": list(rep.source.points),
+        "target": list(rep.target.points),
+        "lattice": _lattice_payload_loop(lat, tnorm),
+        "grades": grades,
+    }
+
+
+def _hyper_payload_loop(t):
+    triples = []
+    for fam, b, alpha in t.triples():
+        sets = [_names(t.source, a) for a in range(1, t.source.full + 1) if fam >> (a - 1) & 1]
+        triples.append([sets, _names(t.target, b), t.lattice.elements[alpha]])
+    return {
+        "source": list(t.source.points),
+        "target": list(t.target.points),
+        "lattice": _lattice_payload_loop(t.lattice),
+        "triples": triples,
+    }
+
+
+FRAMES = [(1, 1), (1, 3), (2, 2), (3, 1), (3, 4), (4, 2), (5, 5), (6, 3), (2, 6), (6, 6)]
+
+
+def _frame(n, m):
+    return space(*(f"x{i}" for i in range(n))), space(*(f"y{i}" for i in range(m)))
+
+
+@pytest.mark.parametrize("n, m", FRAMES)
+def test_writers_match_the_per_subset_loops(n, m, chain3, square):
+    X, Y = _frame(n, m)
+    lats = [chain3, square, chain(16)]
+
+    def same(payload, expected):  # dumps also tells true from 1
+        assert payload == expected and io.dumps(payload) == io.dumps(expected)
+
+    for seed in range(3):
+        density = (0.1, 0.4, 0.8)[seed]
+        rep = random_rep(X, Y, seed, density)
+        same(io.crisp_rep_payload(rep), _crisp_payload_loop(rep))
+        for lat in lats:
+            rf = random_fuzzy_rep(X, Y, lat, seed, density)
+            tnorms = [None, meet_tnorm(lat)] + ([lukasiewicz(lat)] if lat is chain3 else [])
+            for tn in tnorms:
+                payload = io.fuzzy_rep_payload(rf, tn)
+                same(payload, _fuzzy_payload_loop(rf, tn))
+                assert io.fuzzy_rep_from(payload) == (rf, tn)
+            if n <= 3 and lat is not lats[-1] and seed == 0:  # the encoding gate
+                t = encode(rf)
+                same(io.hyper_payload(t), _hyper_payload_loop(t))
+                assert io.hyper_from(io.hyper_payload(t)) == t
+
+
+def test_readers_take_labels_in_any_order_with_repeats(chain3):
+    X, Y = _frame(3, 2)
+    rf = random_fuzzy_rep(X, Y, chain3, 4, 0.6)
+    payload = io.fuzzy_rep_payload(rf)
+    for entry in payload["grades"]:
+        entry[0] = entry[0][::-1] + entry[0][:1]
+        entry[1] = entry[1][::-1]
+    assert io.fuzzy_rep_from(payload)[0] == rf
+    rep = random_rep(X, Y, 4, 0.4)
+    payload = io.crisp_rep_payload(rep)
+    for pair in payload["pairs"]:
+        pair[0] = pair[0][::-1]
+        pair[1] = pair[1] + pair[1]
+    assert io.crisp_rep_from(payload) == rep
+
+
+_LAT2 = {"elements": ["0", "1"], "leq": [[True, True], [False, True]]}
+
+
+# (reader, payload, message), the messages as the per-label loops gave them
+READER_ERRORS = [
+    ("crisp_rep_from",
+     {"source": ["x1", "x2"], "target": ["y1"], "pairs": [[["x1", "nowhere"], ["y1"]]]},
+     'bad pair list: "unknown point \'nowhere\' in space (\'x1\', \'x2\')"'),
+    ("crisp_rep_from",
+     {"source": ["x1", "x2"], "target": ["y1"], "pairs": [[["x2", 1], ["y1"]]]},
+     'bad pair list: "unknown point 1 in space (\'x1\', \'x2\')"'),
+    ("crisp_rep_from",
+     {"source": ["x1", "x2"], "target": ["y1"], "pairs": [[["x1"], [["y1"]]]]},
+     'bad pair list: "unknown point [\'y1\'] in space (\'y1\',)"'),
+    ("crisp_rep_from",
+     {"source": ["x1", "x2"], "target": ["y1"], "pairs": [["x1", ["y1"]]]},
+     "bad pair list: a subset is a list of point labels"),
+    ("fuzzy_rep_from",
+     {"source": ["x1"], "target": ["y1", "y2"], "lattice": _LAT2, "grades": [[["x1"], ["y3"], "1"]]},
+     'bad grade list: "unknown point \'y3\' in space (\'y1\', \'y2\')"'),
+    ("fuzzy_rep_from",
+     {"source": ["x1"], "target": ["y1", "y2"], "lattice": _LAT2, "grades": [[[None], ["y1"], "1"]]},
+     'bad grade list: "unknown point None in space (\'x1\',)"'),
+    ("fuzzy_rep_from",
+     {"source": ["x1"], "target": ["y1", "y2"], "lattice": _LAT2, "grades": [[["x1"], ["y1"], "2"]]},
+     'bad grade list: "unknown lattice element \'2\'"'),
+    ("fuzzy_rep_from",
+     {"source": ["x1"], "target": ["y1", "y2"], "lattice": _LAT2, "grades": [[["x1"], ["y1"], ["1"]]]},
+     'bad grade list: "unknown lattice element [\'1\']"'),
+    ("hyper_from",
+     {"source": ["x1"], "target": ["y1"], "lattice": _LAT2, "triples": [[[["x1"], ["x2"]], ["y1"], "1"]]},
+     'bad triple list: "unknown point \'x2\' in space (\'x1\',)"'),
+    ("hyper_from",
+     {"source": ["x1"], "target": ["y1"], "lattice": _LAT2, "triples": [[[["x1"]], [{"y1": 0}], "1"]]},
+     'bad triple list: "unknown point {\'y1\': 0} in space (\'y1\',)"'),
+    ("capacity_from",
+     {"space": ["x1"], "lattice": _LAT2, "values": [[["x1", "x1", "x9"], "1"]]},
+     'bad value list: "unknown point \'x9\' in space (\'x1\',)"'),
+]
+
+
+@pytest.mark.parametrize("reader, payload, message", READER_ERRORS)
+def test_reader_error_messages_unchanged(reader, payload, message):
+    with pytest.raises(MalformedInput) as info:
+        getattr(io, reader)(payload)
+    assert str(info.value) == message
+
+
+def test_lattice_index_errors_unchanged(chain3):
+    assert [chain3.index(e) for e in chain3.elements] == [0, 1, 2]
+    for label in ("2", 1, None, ["1"], {"m": 0}):
+        with pytest.raises(KeyError) as info:
+            chain3.index(label)
+        assert info.value.args == (f"unknown lattice element {label!r}",)
+
+
+def test_hyper_reader_gates_before_allocating(chain3):
+    # 5 and 6 source points would allocate 2^31 and 2^63 family rows
+    for n in (4, 5, 6):
+        payload = {
+            "source": [f"x{i}" for i in range(n)], "target": ["y1"],
+            "lattice": io.lattice_payload(chain3), "triples": [[[["x0"]], ["y1"], "1"]],
+        }
+        with pytest.raises(SpaceTooLarge):
+            io.hyper_from(payload)
+
+
+# -- the command line: embedded t-norms, the parser built once ------------------
+
+
+def _identity_file(tmp_path, name, lat, tn):
+    path = tmp_path / name
+    payload = io.fuzzy_rep_payload(fuzzy.identity(space("x1", "x2"), lat), tn)
+    path.write_text(io.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("verb", ["compose", "join", "meet"])
+def test_cli_conflicting_embedded_tnorms_exit_three(tmp_path, capsys, chain3, verb):
+    meet_file = _identity_file(tmp_path, "meet.json", chain3, meet_tnorm(chain3))
+    luk_file = _identity_file(tmp_path, "luk.json", chain3, lukasiewicz(chain3))
+    assert run_cli(capsys, verb, "--rep", meet_file, "--rep2", luk_file) == (3, "")
+    assert run_cli(capsys, verb, "--rep", luk_file, "--rep2", meet_file) == (3, "")
+
+
+def test_cli_one_or_equal_embedded_tnorms_compose(tmp_path, capsys, chain3):
+    luk_file = _identity_file(tmp_path, "luk.json", chain3, lukasiewicz(chain3))
+    luk_again = _identity_file(tmp_path, "luk2.json", chain3, lukasiewicz(chain3))
+    plain = _identity_file(tmp_path, "plain.json", chain3, None)
+    code, out = run_cli(capsys, "compose", "--rep", luk_file, "--rep2", plain)
+    assert code == 0
+    assert json.loads(out)["lattice"]["tnorm"] == [["0", "0", "0"], ["0", "0", "m"], ["0", "m", "1"]]
+    assert run_cli(capsys, "compose", "--rep", plain, "--rep2", luk_file) == (0, out)
+    assert run_cli(capsys, "compose", "--rep", luk_file, "--rep2", luk_again) == (0, out)
+
+
+def test_cli_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_cli_cached_parser_carries_no_out_path(tmp_path, capsys):
+    path = tmp_path / "id.json"
+    code, out = run_cli(capsys, "gen", "--kind", "identity", "--sizes", "2", "--out", str(path))
+    assert code == 0 and path.read_text() == out
+    path.unlink()
+    assert run_cli(capsys, "gen", "--kind", "identity", "--sizes", "2") == (0, out)
+    assert not path.exists()
+
+
+def test_cli_cached_parser_recovers_from_errors(capsys):
+    argv = ("gen", "--kind", "random", "--sizes", "3,2")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, "gen", "--kind", "random", "--sizes", "3,2", "--seed", "x") == (3, "")
+    assert run_cli(capsys, "gen", "--bogus") == (3, "")
+    assert run_cli(capsys, *argv, "--seed", "9", "--density", "0.9")[0] == 0
+    assert run_cli(capsys, *argv) == (0, out)  # defaults, not the last call's values

@@ -36,6 +36,13 @@ class LCapacity:
         arr.setflags(write=False)
         self.values = arr
 
+    @classmethod
+    def _of_row(cls, space: FiniteSpace, lattice: FiniteLattice, row: np.ndarray) -> LCapacity:
+        # wraps a read-only row of the right shape as it is, without a copy
+        cap = object.__new__(cls)
+        cap.space, cap.lattice, cap.values = space, lattice, row
+        return cap
+
     def __call__(self, mask: int) -> int:
         return int(self.values[mask])
 
@@ -102,8 +109,16 @@ def capacity_of(rep: LFuzzyAmbRep, a: int) -> LCapacity:
 
 
 def capacities_of(rep: LFuzzyAmbRep) -> dict[int, LCapacity]:
-    """Batch extraction over every nonempty source subset."""
-    return {a: capacity_of(rep, a) for a in rep.source.subsets()}
+    """Batch extraction over every nonempty source subset.
+
+    One read-only table holds every fiber, bottom first; each capacity's
+    ``values`` is a row of it, so nothing is copied per fiber.
+    """
+    table = np.empty((rep.source.full, rep.target.full + 1), dtype=np.intp)
+    table[:, 0] = rep.lattice.bottom
+    table[:, 1:] = rep.grades
+    table.setflags(write=False)
+    return {a: LCapacity._of_row(rep.target, rep.lattice, row) for a, row in enumerate(table, 1)}
 
 
 # -- subgraph view -----------------------------------------------------------

@@ -262,6 +262,10 @@ def compose(
     the join-irreducibles below a join are those below either side; every
     :class:`FiniteLattice` is distributive, as :func:`validate_lattice`
     checks.  Any t-norm goes through the same kernel.
+
+    The masks are gathered by rows: for every grade ``y`` and middle set
+    ``b`` one row holds the masks of ``tnorm(grade_r(a, b), y)`` over all
+    ``a``, and each pair ``(b, c)`` copies the row of ``y = grade_s(b, c)``.
     """
     if rf.target != sf.source:
         raise SpaceMismatch("middle spaces differ")
@@ -272,15 +276,16 @@ def compose(
         tnorm = meet_tnorm(lat)
     elif tnorm.lattice != lat:
         raise SpaceMismatch("grade combination table belongs to a different lattice")
-    # pair[r * |L| + s] = down mask of tnorm(r, s).  |L|^2 <= 256, so the
-    # (a, b, c) index fits in uint8; plain indexing casts it in buffered
-    # chunks (take would cast all of it to intp first), so the largest
-    # temporary is the uint16 gather, 0.5 MB at 6x6x6 points
-    pair = lat.down[tnorm.table].reshape(-1)
-    rows = rf.grades.astype(np.uint8) * np.uint8(lat.size)
-    index = rows[:, :, None] + sf.grades.astype(np.uint8)[None, :, :]
-    out = lat.from_down(np.bitwise_or.reduce(pair[index], axis=1))
-    return LFuzzyAmbRep(rf.source, sf.target, lat, out)
+    # by_s[y * B + b, a - 1] = down mask of tnorm(grade_r(a, b), y): for
+    # each grade y and middle set b, one contiguous row over the sources.
+    # The grade of (b, c) in s picks row s_bc * B + b, so the gather reads
+    # B*C indices and copies rows of A masks; the largest temporary is the
+    # (B, C, A) uint16 gather, 0.5 MB at 6x6x6 points
+    n_mid = sf.grades.shape[0]
+    by_s = lat.down[tnorm.table].T.take(rf.grades.T, axis=1).reshape(lat.size * n_mid, -1)
+    picks = sf.grades * n_mid + np.arange(n_mid)[:, None]
+    joined = np.bitwise_or.reduce(by_s.take(picks, axis=0), axis=0)
+    return LFuzzyAmbRep(rf.source, sf.target, lat, lat.from_down(joined.T))
 
 
 # -- pseudo-inversion ---------------------------------------------------------

@@ -83,25 +83,31 @@ def metric_rep(m: MetricTable, grades: FiniteLattice) -> LFuzzyAmbRep:
     The grade of (A, B) quantizes ``1 - max over a in A of dist(a, B) /
     diameter`` downward onto the chain; containment gives top, a
     diameter-far pair gives bottom.
+
+    ``min`` and ``max`` commute with ranking, so the one-sided distances
+    are taken on the integer ranks of the distinct distances, and only
+    each distinct distance is quantized, by exact ``Fraction`` arithmetic.
     """
     if not grades.is_chain():
         raise ValidationError("NotAChain", "metric grading needs a chain of levels")
     sp = FiniteSpace(m.points)
     n_levels = grades.size
     diam = m.diameter
-    g = np.full((sp.full, sp.full), grades.bottom, dtype=np.intp)
-    for a in sp.subsets():
-        for b in sp.subsets():
-            worst = Fraction(0)
-            for i in range(sp.size):
-                if not a >> i & 1:
-                    continue
-                d_to_b = min(m.dist[i][j] for j in range(sp.size) if b >> j & 1)
-                worst = max(worst, d_to_b)
-            val = 1 - (worst / diam if diam else Fraction(0))
-            level = min(int(val * (n_levels - 1)), n_levels - 1)  # floor quantization
-            g[a - 1, b - 1] = level
-    return fuzzy.validate(sp, sp, grades, g)
+    distinct = sorted({d for row in m.dist for d in row})
+    rank_of = {d: k for k, d in enumerate(distinct)}
+    rank = np.array([[rank_of[d] for d in row] for row in m.dist], dtype=np.intp)
+    # inside[s - 1, i]: point i lies in the nonempty subset s
+    inside = (np.arange(1, sp.full + 1)[:, None] >> np.arange(sp.size) & 1).astype(bool)
+    # to_b[i, b - 1]: rank of dist(i, B), the least over the points of B
+    to_b = np.where(inside[None, :, :], rank[:, None, :], len(distinct)).min(axis=2)
+    # worst[a - 1, b - 1]: rank of the largest dist(i, B) over i in A; the
+    # fill 0 is the least rank, so points outside A never win
+    worst = np.where(inside[:, :, None], to_b[None, :, :], 0).max(axis=1)
+    level = []
+    for d in distinct:
+        val = 1 - (d / diam if diam else Fraction(0))
+        level.append(min(int(val * (n_levels - 1)), n_levels - 1))  # floor quantization
+    return fuzzy.validate(sp, sp, grades, np.array(level, dtype=np.intp)[worst])
 
 
 # -- grid examples ------------------------------------------------------------

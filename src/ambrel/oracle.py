@@ -11,18 +11,20 @@ benchmark's output checks; they make no attempt at speed.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import crisp
+from . import crisp, fuzzy
 from .capacity import LCapacity, capacity_subgraph
 from .catalog import all_crisp_reps
 from .crisp import CrispAmbRep
 from .errors import LatticeTooLarge, SpaceMismatch, ValidationError
 from .fuzzy import LFuzzyAmbRep
+from .generators import MetricTable
 from .hyperencoding import TernaryHyperRelation
 from .hyperspace import FiniteSpace
 from .lattice import MAX_LATTICE, FiniteLattice, TNormTable
@@ -390,6 +392,29 @@ def fuzzy_sms_intersection(rep: LFuzzyAmbRep) -> LFuzzyAmbRep:
     cut_family = {alpha: formula_cuts[alpha] for alpha in range(lat.size)}
     cut_family[lat.bottom] = crisp.top(Y, X)
     return from_cuts_per_pair(Y, X, lat, cut_family)
+
+
+def metric_rep_loops(m: MetricTable, grades: FiniteLattice) -> LFuzzyAmbRep:
+    """``generators.metric_rep`` by a triple loop over source sets, their
+    points and target points, in exact ``Fraction`` arithmetic."""
+    if not grades.is_chain():
+        raise ValidationError("NotAChain", "metric grading needs a chain of levels")
+    sp = FiniteSpace(m.points)
+    n_levels = grades.size
+    diam = m.diameter
+    g = np.full((sp.full, sp.full), grades.bottom, dtype=np.intp)
+    for a in sp.subsets():
+        for b in sp.subsets():
+            worst = Fraction(0)
+            for i in range(sp.size):
+                if not a >> i & 1:
+                    continue
+                d_to_b = min(m.dist[i][j] for j in range(sp.size) if b >> j & 1)
+                worst = max(worst, d_to_b)
+            val = 1 - (worst / diam if diam else Fraction(0))
+            level = min(int(val * (n_levels - 1)), n_levels - 1)  # floor quantization
+            g[a - 1, b - 1] = level
+    return fuzzy.validate(sp, sp, grades, g)
 
 
 def capacity_of_per_set(rep: LFuzzyAmbRep, a: int) -> LCapacity:

@@ -186,3 +186,20 @@ def test_capacity_kernels_match_oracle_twins():
         "BadSubset", "BadValueTable", "BadBounds", "NotMonotone", "BadPair", "MissingFloor",
         "NotDownSetInAlpha", "UnionJoinViolated",
     }
+
+
+def test_capacities_of_is_capacity_of_at_every_source_set():
+    for lat in TWIN_LATTICES:
+        for n_src, n_tgt in ((1, 1), (2, 3), (3, 2), (4, 4)):
+            X = space(*(f"x{i}" for i in range(1, n_src + 1)))
+            Y = space(*(f"y{i}" for i in range(1, n_tgt + 1)))
+            rep = random_fuzzy_rep(X, Y, lat, n_src + n_tgt, 0.4)
+            caps = capacities_of(rep)
+            assert list(caps) == list(X.subsets())
+            for a, cap in caps.items():
+                assert cap == capacity_of(rep, a)
+                assert cap.values.shape == (Y.full + 1,)
+                with pytest.raises(ValueError):
+                    cap.values[0] = lat.top
+                with pytest.raises(ValueError):
+                    cap.values.setflags(write=True)

@@ -9,7 +9,7 @@ from ambrel.crisp import CrispAmbRep
 from ambrel.errors import LatticeIsChain, SpaceMismatch, ValidationError
 from ambrel.generators import random_fuzzy_rep, random_rep
 from ambrel.hyperspace import space
-from ambrel.lattice import meet_tnorm
+from ambrel.lattice import meet_tnorm, validate_tnorm
 
 # the six lattices of the benchmark, and source x target sizes of 1-4 points
 TWIN_LATTICES = (chain(2), chain(3), chain(4), chain(8), chain(16), boolean_square())
@@ -288,12 +288,34 @@ def test_graded_kernels_match_oracle_twins():
 # (source, middle, target) points for the compose twins, mixed sizes included
 COMPOSE_SHAPES = (
     (1, 1, 1), (1, 2, 3), (3, 2, 1), (2, 2, 2), (2, 4, 1), (4, 1, 3), (3, 3, 3), (4, 3, 4),
+    (5, 3, 4),
 )
+
+
+def drastic(lat):
+    """The drastic t-norm: x * top = x, top * y = y, bottom otherwise.
+
+    ``validate_tnorm`` accepts it on chains; on the Boolean square it
+    fails join-distributivity."""
+    n = lat.size
+    table = [
+        [y if x == lat.top else x if y == lat.top else lat.bottom for y in range(n)]
+        for x in range(n)
+    ]
+    return validate_tnorm(lat, table, "drastic")
+
+
+def test_drastic_tnorm_fails_distributivity_on_the_square():
+    with pytest.raises(ValidationError) as err:
+        drastic(boolean_square())
+    assert err.value.code == "NotJoinDistributive"
 
 
 def test_compose_matches_oracle_twin():
     for lat in TWIN_LATTICES:
-        tnorms = [meet_tnorm(lat)] + ([lukasiewicz(lat)] if lat.is_chain() else [])
+        tnorms = [meet_tnorm(lat)]
+        if lat.is_chain():
+            tnorms += [lukasiewicz(lat), drastic(lat)]
         for shape in COMPOSE_SHAPES:
             X, Y, Z = (space(*(f"{p}{i}" for i in range(1, n + 1))) for p, n in zip("xyz", shape))
             seed = sum(shape) + lat.size

@@ -1,6 +1,9 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from ambrel import crisp, fuzzy, io
+from ambrel import crisp, fuzzy, io, oracle
 from ambrel.catalog import chain
 from ambrel.errors import ValidationError
 from ambrel.generators import (
@@ -36,6 +39,32 @@ def test_metric_rep_extremes():
     p0, p2 = sp.subset(["p0"]), sp.subset(["p2"])
     assert rep.grade(p0, p2) == lat.bottom
     assert rep.grade(p2, p0) == lat.bottom
+
+
+def shortest_path_metric(n: int, seed: int):
+    """The shortest-path metric of a seeded graph with rational edge
+    lengths: a path through all points plus random chords."""
+    rng = random.Random(seed)
+    inf = Fraction(10**9)
+    d = [[Fraction(0) if i == j else inf for j in range(n)] for i in range(n)]
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [(i, j) for i in range(n) for j in range(i + 2, n) if rng.random() < 0.4]
+    for i, j in edges:
+        d[i][j] = d[j][i] = min(d[i][j], Fraction(rng.randint(1, 12), rng.randint(1, 5)))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return metric_table([f"s{i}" for i in range(n)], d)
+
+
+def test_metric_rep_matches_loop_twin():
+    metrics = [line_metric(n) for n in range(1, 7)]
+    metrics += [shortest_path_metric(n, seed) for n in range(2, 6) for seed in range(3)]
+    metrics.append(shortest_path_metric(6, 3))
+    for lat in (chain(2), chain(3), chain(4), chain(8)):
+        for m in metrics:
+            assert metric_rep(m, lat) == oracle.metric_rep_loops(m, lat)
 
 
 def test_metric_rep_needs_chain(square):

@@ -9,6 +9,7 @@ source set are the bridge between representations and measures.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable
 
@@ -16,8 +17,20 @@ import numpy as np
 
 from .errors import ValidationError
 from .fuzzy import LFuzzyAmbRep
-from .hyperspace import FiniteSpace, _grow_index, _superset_matrix, _union_index
+from .hyperspace import FiniteSpace, _frozen, _superset_matrix, _union_index
 from .lattice import FiniteLattice
+
+
+@lru_cache(maxsize=None)
+def _cover_steps(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Every cover step ``m -> m | 1 << i`` (bit ``i`` not in ``m``) between
+    nonempty subsets, as the index arrays ``(m - 1, (m | 1 << i) - 1)``,
+    in the ``(m, i)`` order of a loop over sets and then bits."""
+    masks = np.arange(1, space.full + 1)[:, None]
+    bits = 1 << np.arange(space.size)
+    keep = masks & bits == 0
+    small = np.broadcast_to(masks, keep.shape)[keep]
+    return _frozen(small - 1), _frozen((masks | bits)[keep] - 1)
 
 
 class LCapacity:
@@ -28,7 +41,7 @@ class LCapacity:
     def __init__(self, space: FiniteSpace, lattice: FiniteLattice, values):
         self.space = space
         self.lattice = lattice
-        arr = np.asarray(values, dtype=np.intp).copy()
+        arr = np.array(values, dtype=np.intp)
         if arr.shape != (space.full + 1,):
             raise ValidationError(
                 "BadValueTable", f"need {space.full + 1} values, got {arr.shape}"
@@ -64,32 +77,41 @@ class LCapacity:
 
 def validate_capacity(space: FiniteSpace, lattice: FiniteLattice, values) -> LCapacity:
     """Check the entries are element indices (``BadValueTable``), then the
-    bounds and monotonicity of a candidate value table."""
+    bounds and monotonicity of a candidate value table.
+
+    Each check is one test on the whole table, and the witness is searched
+    only when it fails: the first violation in the order of
+    :func:`ambrel.oracle.validate_capacity_loops`.
+    """
     cap = LCapacity(space, lattice, values)
     v = cap.values
-    outside = (v < 0) | (v >= lattice.size)
-    if outside.any():
-        f = int(outside.argmax())
+    # a negative entry is a large one in the unsigned view
+    if np.maximum.reduce(v.view(np.uintp)) >= lattice.size:
+        f = int(((v < 0) | (v >= lattice.size)).argmax())
         raise ValidationError(
             "BadValueTable",
             f"values must be element indices 0..{lattice.size - 1}",
             witness=[list(space.labels(f)), int(v[f])],
         )
-    if v[0] != lattice.bottom or v[space.full] != lattice.top:
+    low, high = v.item(0), v.item(space.full)
+    if low != lattice.bottom or high != lattice.top:
         raise ValidationError(
             "BadBounds",
             "the empty set must get bottom and the whole space top",
-            witness=[lattice.elements[int(v[0])], lattice.elements[int(v[space.full])]],
+            witness=[lattice.elements[low], lattice.elements[high]],
         )
-    # rises[f, i]: the value at f is not below the value at f | 1 << i; a
-    # bit already in f compares a value with itself, which reflexivity passes
-    rises = ~lattice.leq[v[:, None], v[_grow_index(space)]]
-    if rises.any():
-        f, i = divmod(int(rises.argmax()), space.size)
+    # short[k]: the value at small_k is not below the value at large_k.
+    # The bounds hold, so steps from the empty set pass, and monotone on
+    # cover steps is monotone (docs/properties.md)
+    d = lattice.down[v[1:]]
+    small, large = _cover_steps(space)
+    short = d[small] & ~d[large]
+    if np.count_nonzero(short):
+        k = int(np.flatnonzero(short)[0])
         raise ValidationError(
             "NotMonotone",
             "values must rise with the set",
-            witness=[list(space.labels(f)), list(space.labels(f | (1 << i)))],
+            witness=[list(space.labels(small[k] + 1)), list(space.labels(large[k] + 1))],
         )
     return cap
 
@@ -147,6 +169,12 @@ def validate_subgraph(
     (``NotDownSetInAlpha``); and grades of two members join within the set
     of their union (``UnionJoinViolated``).  Closedness holds vacuously
     over a finite space.  Returns the unique capacity with this subgraph.
+
+    A pair set is a subgraph exactly when its join candidate, the join of
+    the grades held at each set, is a capacity whose subgraph is the pair
+    set (``docs/properties.md``).  So the candidate is built and returned
+    when it passes; the conditions above are searched for their first
+    violation only when it does not, and one of them then fails.
     """
     pset = set(pairs)
     listed = list(pset)  # the set's own order, which the witnesses follow
@@ -159,6 +187,29 @@ def validate_subgraph(
     # held[f - 1, alpha]: the pair (f, alpha) is in the set
     held = np.zeros((space.full, lattice.size), dtype=bool)
     held[fs - 1, alphas] = True
+    # the join of the grades held at f: the OR of their down masks
+    values = np.full(space.full + 1, lattice.bottom, dtype=np.intp)
+    values[1:] = lattice.from_down(np.bitwise_or.reduce(held * lattice.down, axis=1))
+    if np.array_equal(lattice.leq.T[values[1:]], held):
+        try:
+            return validate_capacity(space, lattice, values)
+        except ValidationError:
+            pass
+    _raise_first_violation(space, lattice, listed, fs, alphas, held)
+    raise AssertionError("a rejected pair set violates a subgraph condition")
+
+
+def _raise_first_violation(
+    space: FiniteSpace,
+    lattice: FiniteLattice,
+    listed: list[tuple[int, int]],
+    fs: np.ndarray,
+    alphas: np.ndarray,
+    held: np.ndarray,
+) -> None:
+    """Raise the first subgraph condition the pair set ``listed`` violates,
+    in the order and with the witness of
+    :func:`ambrel.oracle.validate_subgraph_loops`."""
     missing = ~held[:, lattice.bottom]
     if missing.any():
         f = int(missing.argmax()) + 1
@@ -227,12 +278,3 @@ def validate_subgraph(
                 lattice.elements[beta],
             ],
         )
-    # the value at f joins the grades held there: the OR of their down masks
-    values = np.full(space.full + 1, lattice.bottom, dtype=np.intp)
-    values[1:] = lattice.from_down(np.bitwise_or.reduce(held * lattice.down, axis=1))
-    cap = validate_capacity(space, lattice, values)
-    if not np.array_equal(leq.T[cap.values[1:]], held):
-        raise ValidationError(
-            "NotASubgraph", "pair set is not reproduced by its own capacity", witness=None
-        )
-    return cap

@@ -231,11 +231,15 @@ def _run(args) -> int:
     if args.verb == "laws":
         suite = args.suite or "crisp"
         if suite == "crisp":
+            if args.lattice:
+                raise MalformedInput("--lattice applies to the fuzzy suite only")
             x, y, z = _spaces(args.sizes or "2,2,2", 3)
             results = check_laws(
                 x, y, z, trials=args.trials, exhaustive=args.exhaustive, seed=args.seed
             )
         elif suite == "fuzzy":
+            if args.exhaustive:
+                raise MalformedInput("--exhaustive applies to the crisp suite only")
             x, y, z = _spaces(args.sizes or "2,2,2", 3)
             results = check_fuzzy_laws(
                 x, y, z, _named_lattice(args.lattice), trials=args.trials, seed=args.seed

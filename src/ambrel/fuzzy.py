@@ -11,6 +11,7 @@ them live here.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -18,7 +19,9 @@ import numpy as np
 from . import crisp
 from .crisp import CrispAmbRep
 from .errors import LatticeIsChain, SpaceMismatch, ValidationError
-from .hyperspace import FiniteSpace, _grow_index, _pack, _shrink_index, _superset_matrix, _unpack
+from .hyperspace import (
+    FiniteSpace, _frozen, _grow_index, _shrink_index, _superset_matrix, _unpack, full_family,
+)
 from .lattice import FiniteLattice, TNormTable, meet_tnorm
 
 
@@ -27,16 +30,18 @@ class LFuzzyAmbRep:
 
     ``grades[a - 1, b - 1]`` is the lattice element index grading the pair
     of subset masks ``(a, b)``.  Instances are immutable and compared by
-    value.
+    value.  The first :func:`alpha_cut` packs every cut at once and keeps
+    the rows (``_cut_rows``), so further cuts of the same instance are
+    read, not recomputed.
     """
 
-    __slots__ = ("source", "target", "lattice", "grades")
+    __slots__ = ("source", "target", "lattice", "grades", "_cut_rows")
 
     def __init__(self, source: FiniteSpace, target: FiniteSpace, lattice: FiniteLattice, grades):
         self.source = source
         self.target = target
         self.lattice = lattice
-        arr = np.asarray(grades, dtype=np.intp).copy()
+        arr = np.array(grades, dtype=np.intp)
         if arr.shape != (source.full, target.full):
             raise ValidationError(
                 "BadGradeTable",
@@ -44,6 +49,7 @@ class LFuzzyAmbRep:
             )
         arr.setflags(write=False)
         self.grades = arr
+        self._cut_rows = None
 
     def grade(self, a: int, b: int) -> int:
         return int(self.grades[a - 1, b - 1])
@@ -96,8 +102,9 @@ def validate(
     """
     rep = LFuzzyAmbRep(source, target, lattice, grades)
     g = rep.grades
-    outside = (g < 0) | (g >= lattice.size)
-    if outside.any():
+    # a negative index wraps to a large one in the unsigned view
+    if np.maximum.reduce(g.view(np.uintp), axis=None) >= lattice.size:
+        outside = (g < 0) | (g >= lattice.size)
         a, b = (int(k) + 1 for k in np.unravel_index(outside.argmax(), outside.shape))
         raise ValidationError(
             "BadGradeTable",
@@ -187,11 +194,40 @@ def embed_crisp(rep: CrispAmbRep, lattice: FiniteLattice) -> LFuzzyAmbRep:
 # -- cuts ------------------------------------------------------------------
 
 
+def _cut_rows(rep: LFuzzyAmbRep) -> np.ndarray:
+    """``rows[alpha, a - 1]``: the family mask of row ``a`` of the cut at
+    ``alpha``, for every element ``alpha`` at once.
+
+    ``alpha <= y`` exactly when ``down[alpha] & ~down[y] == 0``, so one
+    mask test over (grade, source set, target set) decides every cut.
+    Each row is padded to the width of the smallest unsigned integer that
+    holds it (8 to 64 target sets), so its packed bits are one integer.
+    The padding holds at the bottom grade alone, whose cut is the full
+    relation, so that row is set to the whole family.
+    """
+    lat, g, target = rep.lattice, rep.grades, rep.target
+    width = max(8, 1 << target.size)  # target.full + 1 bits, at least a byte
+    not_down = np.full((len(g), width), np.uint16(0xFFFF))
+    not_down[:, : target.full] = ~lat.down[g]
+    held = (lat.down[:, None, None] & not_down) == 0
+    rows = np.packbits(held, axis=None, bitorder="little").view(f"<u{width // 8}")
+    rows = rows.reshape(lat.size, -1)
+    rows[lat.bottom] = full_family(target)
+    return _frozen(rows)
+
+
 def alpha_cut(rep: LFuzzyAmbRep, alpha: int) -> CrispAmbRep:
     """Pairs graded at least ``alpha``; a valid crisp representation for
-    every ``alpha``."""
-    rows = _pack(rep.lattice.leq[alpha][rep.grades], rep.target)
-    return CrispAmbRep(rep.source, rep.target, tuple(rows.tolist()))
+    every ``alpha``.
+
+    The first call on a representation packs every cut at once
+    (:func:`_cut_rows`) and keeps the packed rows on the instance, at
+    most 8 bytes per row; every call reads its row from there.
+    """
+    rows = rep._cut_rows
+    if rows is None:
+        rows = rep._cut_rows = _cut_rows(rep)
+    return CrispAmbRep(rep.source, rep.target, tuple(rows[alpha].tolist()))
 
 
 def cuts(rep: LFuzzyAmbRep) -> dict[int, CrispAmbRep]:
@@ -220,14 +256,21 @@ def from_cuts(
         if cut.source != source or cut.target != target:
             raise SpaceMismatch("cut family members live over different spaces")
     # the join of the indices whose cut holds a pair, as the union of
-    # their down-set masks
-    held = _unpack([cut.rows for cut in cut_family.values()], target)
+    # their down-set masks.  held[k, a - 1, b - 1]: the k-th cut of the
+    # family holds (a, b), read off the little-endian bits of its rows
+    rows = np.fromiter(
+        chain.from_iterable(cut.rows for cut in cut_family.values()),
+        dtype="<i8",
+        count=lattice.size * source.full,
+    )
+    held = np.unpackbits(rows.view(np.uint8), bitorder="little").reshape(lattice.size, -1, 64)
+    held = np.ascontiguousarray(held[:, :, : target.full])
     alpha_down = lattice.down[list(cut_family)]
     g = lattice.from_down(np.bitwise_or.reduce(held * alpha_down[:, None, None], axis=0))
     rep = LFuzzyAmbRep(source, target, lattice, g)
     for alpha, cut in cut_family.items():
         again = alpha_cut(rep, alpha)
-        if again != cut:
+        if again.rows != cut.rows:  # the spaces agree, as checked above
             # first differing pair in (a, b) order: first differing row,
             # lowest differing bit
             a, diff = next(

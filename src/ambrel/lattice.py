@@ -31,13 +31,14 @@ class FiniteLattice:
     encoding: ``irreducibles`` lists the join-irreducible elements, and
     bit ``k`` of ``down[x]`` says whether ``irreducibles[k] <= x``
     (``uint16``: a lattice of at most 16 elements has at most 15 of them).
+    ``x <= y`` holds exactly when ``down[x] & ~down[y] == 0``.
     Instances are immutable after construction and safe to share; only
     :func:`validate_lattice` and its oracle twin build them.
     """
 
     __slots__ = (
         "elements", "leq", "join_table", "meet_table", "bottom", "top",
-        "irreducibles", "down", "_sorted_down", "_by_down", "_index",
+        "irreducibles", "down", "_of_down", "_index",
     )
 
     def __init__(self, elements, leq, join_table, meet_table, bottom, top, irreducibles, down):
@@ -50,13 +51,11 @@ class FiniteLattice:
         self.top: int = top
         self.irreducibles: tuple[int, ...] = tuple(irreducibles)
         self.down = down
-        # down is injective, so sorting it gives the inverse map
-        self._by_down = np.argsort(down)
-        self._sorted_down = down[self._by_down]
-        for arr in (
-            self.leq, self.join_table, self.meet_table, self.down,
-            self._by_down, self._sorted_down,
-        ):
+        # _of_down[down[x]] = x, the inverse of the injective down; a mask
+        # of no element maps to -1.  At most 2^15 entries (32 KB, chain16)
+        self._of_down = np.full(1 << len(self.irreducibles), -1, dtype=np.int8)
+        self._of_down[down] = np.arange(len(self.elements))
+        for arr in (self.leq, self.join_table, self.meet_table, self.down, self._of_down):
             arr.setflags(write=False)
 
     # -- basic queries ------------------------------------------------
@@ -84,9 +83,9 @@ class FiniteLattice:
         """The elements whose ``down`` masks are ``masks`` (elementwise).
 
         Every mask must be some element's; the union of the masks of any
-        elements is the mask of their join.
+        elements is the mask of their join.  The result is ``int8``.
         """
-        return self._by_down[np.searchsorted(self._sorted_down, masks)]
+        return self._of_down.take(masks)
 
     def family_join(self, items: Iterable[int]) -> int:
         """Least upper bound of a set of elements; the empty join is bottom."""

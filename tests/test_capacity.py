@@ -188,6 +188,74 @@ def test_capacity_kernels_match_oracle_twins():
     }
 
 
+# the graded item shapes of the benchmark and the lattices they run over
+BENCH_SHAPES = ((5, 3), (6, 4), (6, 6))
+BENCH_LATTICES = (chain(3), boolean_square(), chain(16))
+
+
+def test_capacity_checks_match_oracle_twins_at_bench_sizes():
+    # the cover steps and the witness order depend on the size of the space
+    codes = set()
+    for lat in BENCH_LATTICES:
+        for n_src, n_tgt in BENCH_SHAPES:
+            X = space(*(f"x{i}" for i in range(1, n_src + 1)))
+            Y = space(*(f"y{i}" for i in range(1, n_tgt + 1)))
+            for seed in range(4):
+                rng = random.Random(f"bench-{lat.size}-{n_src}-{n_tgt}-{seed}")
+                rep = random_fuzzy_rep(X, Y, lat, seed, 0.35)
+                fiber = capacity_of(rep, 1 << rng.randrange(n_src))
+                assert validate_capacity(Y, lat, fiber.values) == fiber
+                values = list(fiber.values)
+                for _ in range(rng.randint(1, 3)):
+                    values[rng.randrange(Y.full + 1)] = rng.randrange(lat.size)
+                got_values = outcome(validate_capacity, Y, lat, values)
+                assert got_values == outcome(oracle.validate_capacity_loops, Y, lat, values)
+                wild = list(values)
+                for _ in range(rng.randint(1, 2)):
+                    wild[rng.randrange(Y.full + 1)] = rng.choice((-1, lat.size))
+                got_wild = outcome(validate_capacity, Y, lat, wild)
+                assert got_wild == outcome(oracle.validate_capacity_loops, Y, lat, wild)
+                pairs = _perturbed_pairs(rng, Y, lat, capacity_subgraph(fiber))
+                got_pairs = outcome(validate_subgraph, Y, lat, pairs)
+                assert got_pairs == outcome(oracle.validate_subgraph_loops, Y, lat, pairs)
+                codes.update(
+                    out[0] for out in (got_values, got_wild, got_pairs) if isinstance(out, tuple)
+                )
+            if lat.is_chain():
+                continue
+            # the incomparable a and b held above {y1} and above {y2}, and
+            # their join missing at {y1, y2}
+            a, b = lat.index("a"), lat.index("b")
+            pairs = set(capacity_subgraph(minimal_capacity(Y, lat)))
+            pairs.update((f, a) for f in Y.subsets() if f & 1)
+            pairs.update((f, b) for f in Y.subsets() if f & 2)
+            got_pairs = outcome(validate_subgraph, Y, lat, pairs)
+            assert got_pairs == outcome(oracle.validate_subgraph_loops, Y, lat, pairs)
+            assert got_pairs[0] == "UnionJoinViolated"
+    assert codes == {
+        "BadValueTable", "BadBounds", "NotMonotone", "BadPair", "MissingFloor",
+        "NotDownSetInAlpha",
+    }
+
+
+def test_every_pair_set_is_a_subgraph_or_violates_a_condition():
+    # a pair set that passes the floor, down-set and union-join checks is
+    # the subgraph of its join candidate (docs/properties.md), so no pair
+    # set is rejected for not reproducing itself: checked on every pair
+    # set over one and two points
+    for lat in (chain(2), chain(3), chain(4), boolean_square()):
+        for Y in (space("y1"), space("y1", "y2")):
+            universe = [(f, alpha) for f in Y.subsets() for alpha in range(lat.size)]
+            for chosen in range(1 << len(universe)):
+                pairs = [p for k, p in enumerate(universe) if chosen >> k & 1]
+                got = outcome(validate_subgraph, Y, lat, pairs)
+                assert got == outcome(oracle.validate_subgraph_loops, Y, lat, pairs)
+                if isinstance(got, tuple):
+                    assert got[0] in ("MissingFloor", "NotDownSetInAlpha", "UnionJoinViolated")
+                else:
+                    assert capacity_subgraph(got) == set(pairs)
+
+
 def test_capacities_of_is_capacity_of_at_every_source_set():
     for lat in TWIN_LATTICES:
         for n_src, n_tgt in ((1, 1), (2, 3), (3, 2), (4, 4)):

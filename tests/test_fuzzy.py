@@ -285,6 +285,44 @@ def test_graded_kernels_match_oracle_twins():
     }
 
 
+# the graded item shapes of the benchmark and the lattices they run over
+BENCH_SHAPES = ((5, 3), (6, 4), (6, 6))
+BENCH_LATTICES = (chain(3), boolean_square(), chain(16))
+
+
+def test_graded_checks_match_oracle_twins_at_bench_sizes():
+    # the step order and the flat indices of the kernels depend on the size
+    codes = set()
+    for lat in BENCH_LATTICES:
+        for n_src, n_tgt in BENCH_SHAPES:
+            X = space(*(f"x{i}" for i in range(1, n_src + 1)))
+            Y = space(*(f"y{i}" for i in range(1, n_tgt + 1)))
+            for seed in range(8):
+                rng = random.Random(f"bench-{lat.size}-{n_src}-{n_tgt}-{seed}")
+                rep = random_fuzzy_rep(X, Y, lat, seed, rng.choice((0.2, 0.35, 0.7)))
+                assert fuzzy.validate(X, Y, lat, rep.grades) == rep
+                for alpha in range(lat.size):
+                    assert fuzzy.alpha_cut(rep, alpha) == oracle.alpha_cut_per_pair(rep, alpha)
+                g = rep.grades.copy()
+                for _ in range(rng.randint(1, 3)):
+                    g[rng.randrange(X.full), rng.randrange(Y.full)] = rng.randrange(lat.size)
+                got = outcome(fuzzy.validate, X, Y, lat, g)
+                assert got == outcome(oracle.fuzzy_validate_loops, X, Y, lat, g)
+                wild = g.copy()
+                for _ in range(rng.randint(1, 2)):
+                    wild[rng.randrange(X.full), rng.randrange(Y.full)] = rng.choice((-1, lat.size))
+                got_wild = outcome(fuzzy.validate, X, Y, lat, wild)
+                assert got_wild == outcome(oracle.fuzzy_validate_loops, X, Y, lat, wild)
+                family = _perturbed_family(rng, rep)
+                got_cuts = outcome(fuzzy.from_cuts, X, Y, lat, family)
+                assert got_cuts == outcome(oracle.from_cuts_per_pair, X, Y, lat, family)
+                codes.update(out[0] for out in (got, got_wild, got_cuts) if isinstance(out, tuple))
+    assert codes == {
+        "BadGradeTable", "FullTargetNotTop", "NotIsotoneInB", "NotAntitoneInA",
+        "CutFamilyInconsistent",
+    }
+
+
 # (source, middle, target) points for the compose twins, mixed sizes included
 COMPOSE_SHAPES = (
     (1, 1, 1), (1, 2, 3), (3, 2, 1), (2, 2, 2), (2, 4, 1), (4, 1, 3), (3, 3, 3), (4, 3, 4),

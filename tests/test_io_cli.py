@@ -300,6 +300,24 @@ def test_cli_laws_fuzzy(capsys):
     assert report["suite"] == "fuzzy"
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("laws", "--suite", "fuzzy", "--exhaustive"), "--exhaustive"),
+        (("laws", "--suite", "fuzzy", "--sizes", "1,1,1", "--exhaustive", "--lattice", "square"),
+         "--exhaustive"),
+        (("laws", "--suite", "crisp", "--lattice", "square"), "--lattice"),
+        (("laws", "--lattice", "chain3", "--exhaustive"), "--lattice"),
+    ],
+)
+def test_cli_laws_flags_the_suite_ignores_exit_three(capsys, argv, flag):
+    # a flag the chosen suite would ignore is refused, not silently dropped
+    assert main(list(argv)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
 def test_cli_search_exit_codes(tmp_path, capsys):
     out_path = tmp_path / "verdict.json"
     code, out = run_cli(capsys, "search", "--law", "modular", "--sizes", "2,2,2",

@@ -295,6 +295,62 @@ def test_grade_tables_match_family_join():
             assert tables.below[g, 0] == tables.down[1 << g]
 
 
+def _product(first, second):
+    """The product order of two lattices, labelled by pairs of labels."""
+    pairs = list(product(range(first.size), range(second.size)))
+    leq = [
+        [bool(first.leq[a, c] and second.leq[b, d]) for c, d in pairs] for a, b in pairs
+    ]
+    return validate_lattice([first.elements[a] + second.elements[b] for a, b in pairs], leq)
+
+
+def _stacked(lower, upper):
+    """``upper`` placed above ``lower``, the top of one glued to the bottom
+    of the other."""
+    rest = [x for x in range(upper.size) if x != upper.bottom]
+    n = lower.size + len(rest)
+
+    def le(i, j):
+        if i < lower.size and j < lower.size:
+            return bool(lower.leq[i, j])
+        if j < lower.size:  # i lies above the glued element, j at most on it
+            return False
+        if i < lower.size:
+            return True
+        return bool(upper.leq[rest[i - lower.size], rest[j - lower.size]])
+
+    return validate_lattice(
+        [f"e{i}" for i in range(n)], [[le(i, j) for j in range(n)] for i in range(n)]
+    )
+
+
+def _lattices_to_eight():
+    """Every distributive lattice of at most six elements, then some of
+    seven and eight, which the enumeration does not reach in test time:
+    chains, stackings and products."""
+    c2, c3, c4, sq = chain(2), chain(3), chain(4), boolean_square()
+    return list(all_distributive_lattices(6)) + [
+        chain(7), _stacked(sq, sq), _stacked(sq, c4), _stacked(_stacked(c2, sq), c3),
+        chain(8), _product(c2, c4), _product(c2, sq),
+    ]
+
+
+def test_from_down_is_family_join_on_masks():
+    rng = random.Random(8)
+    lats = _lattices_to_eight() + [chain(16)]
+    assert {lat.size for lat in lats} == set(range(1, 9)) | {16}
+    for lat in lats:
+        n = lat.size
+        # every element's own mask, then ORs of the masks of random sets
+        assert lat.from_down(lat.down).tolist() == list(range(n))
+        picks = [rng.sample(range(n), rng.randint(0, n)) for _ in range(100)]
+        masks = np.array(
+            [np.bitwise_or.reduce(lat.down[pick]) for pick in picks], dtype=np.uint16
+        ).reshape(10, 10)
+        want = np.array([lat.family_join(pick) for pick in picks]).reshape(10, 10)
+        assert np.array_equal(lat.from_down(masks), want)
+
+
 # -- matrices that numpy would coerce: BadMatrix before any axiom ------------------
 
 _BAD_LEQ = [

@@ -108,6 +108,23 @@ def test_sampled_payloads_unchanged(seed, digest):
     assert h.hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (2, "30b36f5914f6e025b4b11a49afdd9717f8d0c081822a3bf07578296aa2f48cf5"),
+        (9, "3a204a0129c12fdb3831aaa838586f17e2b22a8c61d12b5f0671c393cbdc6e4d"),
+    ],
+)
+def test_sampled_fuzzy_payloads_unchanged(seed, digest):
+    # chains run under the meet and Lukasiewicz, the square under the meet
+    h = hashlib.sha256()
+    for sizes in ((2, 2, 2), (1, 2, 2)):
+        for lat in (chain(2), chain(3), chain(4), boolean_square()):
+            results = check_fuzzy_laws(*_spaces(sizes), lat, trials=20, seed=seed)
+            h.update(io.dumps([res.payload() for res in results.values()]).encode())
+    assert h.hexdigest() == digest
+
+
 def test_exhaustive_gate_in_python_api(x3, y2, z2):
     with pytest.raises(SpaceTooLarge):
         check_laws(x3, y2, z2, exhaustive=True)

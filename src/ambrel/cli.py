@@ -41,6 +41,17 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+def _trials(text: str) -> int:
+    # a count below 1 would report "holds" over no instances at all
+    try:
+        trials = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {trials}")
+    return trials
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     # built once: parse_args fills a fresh namespace on every call
@@ -52,8 +63,10 @@ def _build_parser() -> _Parser:
         for flag in flags:
             if flag == "--exhaustive":
                 sp.add_argument(flag, action="store_true")
-            elif flag in ("--trials", "--seed"):
-                sp.add_argument(flag, type=int, default=0 if flag == "--seed" else 200)
+            elif flag == "--trials":
+                sp.add_argument(flag, type=_trials, default=200)
+            elif flag == "--seed":
+                sp.add_argument(flag, type=int, default=0)
             elif flag == "--density":
                 sp.add_argument(flag, type=float, default=0.3)
             else:

@@ -11,13 +11,17 @@ Laws split into two groups:
   composition).  Several of these hold only on the class of
   pseudo-invertible representations; see ``docs/properties.md``.
 
-Each crisp law is stated once, as a predicate over a namespace of
-operations (``compose``, ``join``, ``meet``, ``sms``, ``identity``,
-``le``, ``eq``).  On concrete representations it decides one instance;
-the ``law_*`` evaluators wrap it and return ``None`` or a JSON-ready
-witness.  Sampled mode draws seeded random representations with mixed
-densities and evaluates instance by instance, and so does
-:func:`search_law`, which stops at its first witness.
+Each law is stated once, in :data:`CRISP_LAWS`, as a predicate over a
+namespace of operations (``compose``, ``join``, ``meet``, ``sms``,
+``identity``, ``le``, ``eq``), and both suites run that one table.  On
+concrete representations a statement decides one instance, and
+``evaluate`` returns ``None`` or a JSON-ready witness: the arguments by
+the statement's parameter names, plus the law's tag.  Sampled mode
+draws seeded random representations with mixed densities and evaluates
+instance by instance, and so does :func:`search_law`, which stops at its
+first witness.  The graded suite runs the same statements on graded
+operations under each t-norm; only cutting through composition, which
+has no crisp form, is stated for it alone.
 
 Exhaustive suites evaluate the same predicates on operation tables.
 The representations between two finite spaces form a lattice and are
@@ -33,6 +37,7 @@ tables live for one call.
 
 from __future__ import annotations
 
+import inspect
 import operator
 import random
 from dataclasses import dataclass
@@ -72,11 +77,11 @@ class LawResult:
         }
 
 
-# -- the crisp laws, each stated once ------------------------------------------
+# -- the laws, each stated once ------------------------------------------------
 #
-# ``o`` is an operations namespace: _Reps on concrete representations, where
-# a statement returns a bool, or a _Tables on index grids, where it
-# returns a boolean array over the grid.
+# ``o`` is an operations namespace: _Reps on concrete representations and
+# _Graded on graded ones, where a statement returns a bool, or a _Tables on
+# index grids, where it returns a boolean array over the grid.
 
 
 def _associativity(o, r, s, t):
@@ -146,77 +151,27 @@ class _Reps:
     identity = staticmethod(lambda space: crisp.identity(space))
     le = staticmethod(operator.le)
     eq = staticmethod(operator.eq)
+    payload = staticmethod(lambda rep: crisp_rep_payload(rep))
 
 
-# -- crisp law evaluators: one instance, None or a witness ------------------------
+class _Graded:
+    """Law operations on graded representations, composing under one
+    t-norm.  ``fuzzy`` is looked up at each call, as in :class:`_Reps`."""
 
+    join = staticmethod(lambda r, s: fuzzy.join(r, s))
+    meet = staticmethod(lambda r, s: fuzzy.meet(r, s))
+    sms = staticmethod(lambda r: fuzzy.sms(r))
+    eq = staticmethod(operator.eq)
+    payload = staticmethod(lambda rep: fuzzy_rep_payload(rep))
 
-def _w(**reps) -> dict:
-    return {name: crisp_rep_payload(rep) for name, rep in reps.items()}
+    def __init__(self, tnorm: TNormTable):
+        self.tnorm = tnorm
 
+    def compose(self, r, s):
+        return fuzzy.compose(r, s, self.tnorm)
 
-def law_associativity(r, s, t) -> dict | None:
-    return None if _associativity(_Reps, r, s, t) else _w(r=r, s=s, t=t)
-
-
-def law_identity(r) -> dict | None:
-    return None if _identity(_Reps, r) else _w(r=r)
-
-
-def law_monotonicity(r, r2, s) -> dict | None:
-    if _monotonicity(_Reps, r, r2, s):
-        return None
-    return _w(small=crisp.meet(r, r2), big=crisp.join(r, r2), s=s) | {"argument": "left"}
-
-
-def law_monotonicity_right(r, s, s2) -> dict | None:
-    if _monotonicity_right(_Reps, r, s, s2):
-        return None
-    return _w(r=r, small=crisp.meet(s, s2), big=crisp.join(s, s2)) | {"argument": "right"}
-
-
-def law_join_distributivity(r, r2, s) -> dict | None:
-    if _join_distributivity(_Reps, r, r2, s):
-        return None
-    return _w(r=r, r2=r2, s=s) | {"argument": "left"}
-
-
-def law_join_distributivity_right(r, s, s2) -> dict | None:
-    if _join_distributivity_right(_Reps, r, s, s2):
-        return None
-    return _w(r=r, s=s, s2=s2) | {"argument": "right"}
-
-
-def law_meet_distributivity(r, r2, s) -> dict | None:
-    if _meet_distributivity(_Reps, r, r2, s):
-        return None
-    return _w(r=r, r2=r2, s=s) | {"argument": "left"}
-
-
-def law_meet_distributivity_right(r, s, s2) -> dict | None:
-    if _meet_distributivity_right(_Reps, r, s, s2):
-        return None
-    return _w(r=r, s=s, s2=s2) | {"argument": "right"}
-
-
-def law_sms_join(r, s) -> dict | None:
-    return None if _sms_join(_Reps, r, s) else _w(r=r, s=s)
-
-
-def law_sms_meet(r, s) -> dict | None:
-    return None if _sms_meet(_Reps, r, s) else _w(r=r, s=s)
-
-
-def law_anti_involution(r) -> dict | None:
-    return None if _anti_involution(_Reps, r) else _w(r=r, double=crisp.sms(crisp.sms(r)))
-
-
-def law_contravariance(r, s) -> dict | None:
-    return None if _contravariance(_Reps, r, s) else _w(r=r, s=s)
-
-
-def law_modular(f, g, h) -> dict | None:
-    return None if _modular(_Reps, f, g, h) else _w(f=f, g=g, h=h)
+    def identity(self, space: FiniteSpace):
+        return fuzzy.identity(space, self.tnorm.lattice)
 
 
 class CrispLaw(NamedTuple):
@@ -224,39 +179,52 @@ class CrispLaw(NamedTuple):
     asserted: bool
     homs: tuple[str, ...]  # argument spaces: "xy" ranges over reps X -> Y
     holds: Callable  # the statement, over an operations namespace
-    evaluate: Callable  # the same on concrete reps: None or a witness
+    tag: dict = {}  # joins every witness: which argument the law varies
+    shows: Callable | None = None  # the reps a crisp witness shows, if not the arguments
 
+    def evaluate(self, *args, ops=_Reps) -> dict | None:
+        """One instance on concrete representations: None, or a JSON-ready
+        witness of the arguments by the statement's parameter names."""
+        if self.holds(ops, *args):
+            return None
+        if self.shows is not None and ops is _Reps:
+            shown = self.shows(*args).items()
+        else:
+            shown = zip(list(inspect.signature(self.holds).parameters)[1:], args)
+        return {name: ops.payload(rep) for name, rep in shown} | self.tag
+
+
+_LEFT, _RIGHT = {"argument": "left"}, {"argument": "right"}
 
 CRISP_LAWS: tuple[CrispLaw, ...] = (
-    CrispLaw("associativity", True, ("xy", "yz", "zx"), _associativity, law_associativity),
-    CrispLaw("identity", True, ("xy",), _identity, law_identity),
-    CrispLaw("monotonicity", True, ("xy", "xy", "yz"), _monotonicity, law_monotonicity),
+    CrispLaw("associativity", True, ("xy", "yz", "zx"), _associativity),
+    CrispLaw("identity", True, ("xy",), _identity),
     CrispLaw(
-        "monotonicity-right", True, ("xy", "yz", "yz"),
-        _monotonicity_right, law_monotonicity_right,
+        "monotonicity", True, ("xy", "xy", "yz"), _monotonicity, _LEFT,
+        lambda r, r2, s: {"small": crisp.meet(r, r2), "big": crisp.join(r, r2), "s": s},
     ),
     CrispLaw(
-        "join-distributivity", True, ("xy", "xy", "yz"),
-        _join_distributivity, law_join_distributivity,
+        "monotonicity-right", True, ("xy", "yz", "yz"), _monotonicity_right, _RIGHT,
+        lambda r, s, s2: {"r": r, "small": crisp.meet(s, s2), "big": crisp.join(s, s2)},
     ),
+    CrispLaw("join-distributivity", True, ("xy", "xy", "yz"), _join_distributivity, _LEFT),
     CrispLaw(
-        "join-distributivity-right", True, ("xy", "yz", "yz"),
-        _join_distributivity_right, law_join_distributivity_right,
+        "join-distributivity-right", True, ("xy", "yz", "yz"), _join_distributivity_right, _RIGHT
     ),
-    CrispLaw("sms-join", True, ("xy", "xy"), _sms_join, law_sms_join),
-    CrispLaw("sms-meet", True, ("xy", "xy"), _sms_meet, law_sms_meet),
-    CrispLaw("anti-involution", False, ("xy",), _anti_involution, law_anti_involution),
-    CrispLaw("contravariance", False, ("xy", "yz"), _contravariance, law_contravariance),
+    CrispLaw("sms-join", True, ("xy", "xy"), _sms_join),
+    CrispLaw("sms-meet", True, ("xy", "xy"), _sms_meet),
     CrispLaw(
-        "meet-distributivity", False, ("xy", "xy", "yz"),
-        _meet_distributivity, law_meet_distributivity,
+        "anti-involution", False, ("xy",), _anti_involution,
+        shows=lambda r: {"r": r, "double": crisp.sms(crisp.sms(r))},
     ),
+    CrispLaw("contravariance", False, ("xy", "yz"), _contravariance),
+    CrispLaw("meet-distributivity", False, ("xy", "xy", "yz"), _meet_distributivity, _LEFT),
     CrispLaw(
-        "meet-distributivity-right", False, ("xy", "yz", "yz"),
-        _meet_distributivity_right, law_meet_distributivity_right,
+        "meet-distributivity-right", False, ("xy", "yz", "yz"), _meet_distributivity_right, _RIGHT
     ),
-    CrispLaw("modular", False, ("xy", "yz", "xz"), _modular, law_modular),
+    CrispLaw("modular", False, ("xy", "yz", "xz"), _modular),
 )
+_BY_NAME = {law.name: law for law in CRISP_LAWS}
 
 ASSERTED_CRISP = tuple(law.name for law in CRISP_LAWS if law.asserted)
 RECORDED_CRISP = tuple(law.name for law in CRISP_LAWS if not law.asserted)
@@ -466,6 +434,27 @@ def check_laws(
     return results
 
 
+# -- the graded suite ---------------------------------------------------------------
+
+_EVERY_TNORM = ("associativity", "identity")  # the category laws
+
+
+def _cut_composition(r, s, graded: list[_Graded]) -> dict | None:
+    """Do cuts commute with graded composition?  Recorded, never asserted,
+    and graded only: None, or a witness."""
+    lattice = r.lattice
+    for ops in graded:
+        comp = ops.compose(r, s)
+        for alpha in range(lattice.size):
+            lhs = fuzzy.alpha_cut(comp, alpha)
+            if lhs != crisp.compose(fuzzy.alpha_cut(r, alpha), fuzzy.alpha_cut(s, alpha)):
+                return {
+                    "tnorm": ops.tnorm.name,
+                    "alpha": lattice.elements[alpha],
+                    "r": fuzzy_rep_payload(r),
+                    "s": fuzzy_rep_payload(s),
+                }
+    return None
 
 
 def check_fuzzy_laws(
@@ -476,86 +465,52 @@ def check_fuzzy_laws(
     trials: int = 100,
     seed: int = 0,
 ) -> dict[str, LawResult]:
-    """Graded law suite, including the exploratory cut/composition check."""
+    """Graded law suite: the statements of :data:`CRISP_LAWS` on graded
+    operations, plus the exploratory cut/composition check.
+
+    Trial ``i`` draws ``r``, ``r2``: X -> Y and ``s``: Y -> Z at sampler
+    indices ``3i``, ``3i + 1`` and ``3i + 2``, and the third argument of
+    associativity, ``t``: Z -> X, from its own stream at ``-1 - i``.
+    Associativity and identity run under every t-norm of the lattice
+    (the meet, and Łukasiewicz on a chain) and name it in their witness;
+    the other laws run under the meet.  Every law counts every trial,
+    ``instances_checked == trials``, and keeps its first witness, where
+    the crisp suites count up to their first witness.
+    """
     sample = fuzzy_sampler(seed, lattice)
     tnorms: list[TNormTable] = [meet_tnorm(lattice)]
     if lattice.is_chain() and lattice.size > 1:
         tnorms.append(lukasiewicz(lattice))
+    graded = [_Graded(tn) for tn in tnorms]
     results = {
         name: LawResult(name, asserted=name in ASSERTED_FUZZY)
         for name in ASSERTED_FUZZY + RECORDED_FUZZY
     }
     for i in range(trials):
-        r = sample(x, y, 3 * i)
-        r2 = sample(x, y, 3 * i + 1)
-        s = sample(y, z, 3 * i + 2)
-
-        def record(name: str, witness_fn):
-            res = results[name]
+        r, r2, s = sample(x, y, 3 * i), sample(x, y, 3 * i + 1), sample(y, z, 3 * i + 2)
+        t = sample(z, x, -1 - i)
+        arguments = {
+            "associativity": (r, s, t),
+            "identity": (r,),
+            "sms-join": (r, r2),
+            "sms-meet": (r, r2),
+            "anti-involution": (r,),
+            "contravariance": (r, s),
+        }
+        for name, res in results.items():
             res.checked += 1
-            if res.witness is None:
-                res.witness = witness_fn()
-
-        def w_assoc():
-            for tn in tnorms:
-                lhs = fuzzy.compose(fuzzy.compose(r, s, tn), fuzzy.identity(z, lattice), tn)
-                rhs = fuzzy.compose(r, fuzzy.compose(s, fuzzy.identity(z, lattice), tn), tn)
-                if lhs != rhs:
-                    return {"tnorm": tn.name, "r": fuzzy_rep_payload(r), "s": fuzzy_rep_payload(s)}
-            return None
-
-        def w_identity():
-            for tn in tnorms:
-                if (
-                    fuzzy.compose(fuzzy.identity(x, lattice), r, tn) != r
-                    or fuzzy.compose(r, fuzzy.identity(y, lattice), tn) != r
-                ):
-                    return {"tnorm": tn.name, "r": fuzzy_rep_payload(r)}
-            return None
-
-        def w_sms_join():
-            if fuzzy.sms(fuzzy.join(r, r2)) != fuzzy.join(fuzzy.sms(r), fuzzy.sms(r2)):
-                return {"r": fuzzy_rep_payload(r), "s": fuzzy_rep_payload(r2)}
-            return None
-
-        def w_sms_meet():
-            if fuzzy.sms(fuzzy.meet(r, r2)) != fuzzy.meet(fuzzy.sms(r), fuzzy.sms(r2)):
-                return {"r": fuzzy_rep_payload(r), "s": fuzzy_rep_payload(r2)}
-            return None
-
-        def w_involution():
-            if fuzzy.sms(fuzzy.sms(r)) != r:
-                return {"r": fuzzy_rep_payload(r)}
-            return None
-
-        def w_contravariance():
-            if fuzzy.sms(fuzzy.compose(r, s)) != fuzzy.compose(fuzzy.sms(s), fuzzy.sms(r)):
-                return {"r": fuzzy_rep_payload(r), "s": fuzzy_rep_payload(s)}
-            return None
-
-        def w_cut():
-            # do cuts commute with graded composition? recorded, never asserted
-            for tn in tnorms:
-                comp = fuzzy.compose(r, s, tn)
-                for alpha in range(lattice.size):
-                    lhs = fuzzy.alpha_cut(comp, alpha)
-                    rhs = crisp.compose(fuzzy.alpha_cut(r, alpha), fuzzy.alpha_cut(s, alpha))
-                    if lhs != rhs:
-                        return {
-                            "tnorm": tn.name,
-                            "alpha": lattice.elements[alpha],
-                            "r": fuzzy_rep_payload(r),
-                            "s": fuzzy_rep_payload(s),
-                        }
-            return None
-
-        record("associativity", w_assoc)
-        record("identity", w_identity)
-        record("sms-join", w_sms_join)
-        record("sms-meet", w_sms_meet)
-        record("anti-involution", w_involution)
-        record("contravariance", w_contravariance)
-        record("cut-composition", w_cut)
+            if res.witness is not None:
+                continue
+            if name == "cut-composition":
+                res.witness = _cut_composition(r, s, graded)
+            elif name in _EVERY_TNORM:
+                for ops in graded:
+                    witness = _BY_NAME[name].evaluate(*arguments[name], ops=ops)
+                    if witness is not None:
+                        res.witness = {"tnorm": ops.tnorm.name} | witness
+                        break
+            else:
+                res.witness = _BY_NAME[name].evaluate(*arguments[name], ops=graded[0])
     return results
 
 
@@ -583,7 +538,7 @@ def search_law(
     if law not in SEARCHABLE:
         raise ValueError(f"searchable laws: {SEARCHABLE}")
     names = [law, "meet-distributivity-right"] if law == "meet-distributivity" else [law]
-    specs = [spec for spec in CRISP_LAWS if spec.name in names]
+    specs = [_BY_NAME[name] for name in names]
     sampler = crisp_sampler(seed)
     checked = 0
     witness = None

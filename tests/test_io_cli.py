@@ -308,10 +308,15 @@ def test_cli_laws_fuzzy(capsys):
          "--exhaustive"),
         (("laws", "--suite", "crisp", "--lattice", "square"), "--lattice"),
         (("laws", "--lattice", "chain3", "--exhaustive"), "--lattice"),
+        (("laws", "--trials", "-3"), "--trials"),
+        (("laws", "--suite", "fuzzy", "--trials", "-3"), "--trials"),
+        (("search", "--law", "modular", "--trials", "-1"), "--trials"),
+        (("laws", "--trials", "0"), "--trials"),
     ],
 )
 def test_cli_laws_flags_the_suite_ignores_exit_three(capsys, argv, flag):
-    # a flag the chosen suite would ignore is refused, not silently dropped
+    # a flag the chosen suite would ignore, or a trial count below 1 that
+    # would report "holds" over no instances, is refused, not misread
     assert main(list(argv)) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

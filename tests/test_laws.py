@@ -1,4 +1,5 @@
 import hashlib
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -98,6 +99,32 @@ def test_exhaustive_suite_matches_per_instance_loop(sizes):
     assert got == want
 
 
+@lru_cache(maxsize=None)
+def _per_instance(sizes):
+    return oracle.check_laws_per_instance(*_spaces(sizes))
+
+
+@pytest.mark.parametrize("law", SEARCHABLE)
+@pytest.mark.parametrize("sizes", list(product((1, 2), repeat=3)))
+def test_exhaustive_search_matches_per_instance_loop(sizes, law):
+    # the whole payload; meet-distributivity adds its right law's count
+    # while the left law holds, and stops at the first witness of either
+    twin = _per_instance(sizes)
+    checked, witness = twin[law].checked, twin[law].witness
+    if law == "meet-distributivity" and witness is None:
+        right = twin["meet-distributivity-right"]
+        checked, witness = checked + right.checked, right.witness
+    want = {
+        "law": law,
+        "mode": "exhaustive",
+        "sizes": list(sizes),
+        "instances_checked": checked,
+        "verdict": "no_counterexample" if witness is None else "counterexample",
+        "witness": witness,
+    }
+    assert search_law(law, *_spaces(sizes), exhaustive=True) == want
+
+
 def test_exhaustive_suite_finds_witnesses_and_full_counts(x2, y2, z2):
     # the twin test above is only as strong as the laws it reaches both ways
     results = check_laws(x2, y2, z2, exhaustive=True)
@@ -120,6 +147,23 @@ def test_sampled_payloads_unchanged(seed, digest):
     for sizes in product((1, 2), repeat=3):
         results = check_laws(*_spaces(sizes), trials=30, seed=seed)
         h.update(io.dumps([res.payload() for res in results.values()]).encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (4, "3c4ec5e724a60376fb956f7a2ac9f9ebff7a64f428e11c1b2c8548c2735a4d29"),
+        (13, "92c505a48393cec80808801fe78f23a0975328d73322403af48fc5ca56164658"),
+    ],
+)
+def test_sampled_search_payloads_unchanged(seed, digest):
+    # every searchable law at every triple in {1,2}^3 and at two 3-point triples
+    h = hashlib.sha256()
+    for sizes in [*product((1, 2), repeat=3), (3, 2, 2), (2, 3, 3)]:
+        for law in SEARCHABLE:
+            verdict = search_law(law, *_spaces(sizes), trials=30, seed=seed)
+            h.update(io.dumps(verdict).encode())
     assert h.hexdigest() == digest
 
 

@@ -16,23 +16,26 @@ namespace of operations (``compose``, ``join``, ``meet``, ``sms``,
 ``identity``, ``le``, ``eq``), and both suites run that one table.  On
 concrete representations a statement decides one instance, and
 ``evaluate`` returns ``None`` or a JSON-ready witness: the arguments by
-the statement's parameter names, plus the law's tag.  Sampled mode
-draws seeded random representations with mixed densities and evaluates
-instance by instance, and so does :func:`search_law`, which stops at its
-first witness.  The graded suite runs the same statements on graded
-operations under each t-norm; only cutting through composition, which
-has no crisp form, is stated for it alone.
+the statement's parameter names, plus the law's tag.  The graded suite
+runs the same statements on graded operations under each t-norm; only
+cutting through composition, which has no crisp form, is stated for it
+alone.
 
-Exhaustive suites evaluate the same predicates on operation tables.
-The representations between two finite spaces form a lattice and are
+:func:`check_laws` and :func:`search_law` run each crisp law in one of
+two modes.  Sampled mode draws seeded random representations with mixed
+densities and evaluates instance by instance up to the first witness.
+
+Exhaustive mode evaluates the same predicates on operation tables.  The
+representations between two finite spaces form a lattice and are
 the arrows of a category, so each enumerated pool is closed under the
 operations: every operation is a table of pool indices, filled by the
 ``crisp`` operation at the pairs of arguments a law reaches, and a law
 is one boolean array over open ``np.indices`` grids of its argument
-pools.  The first failing entry in C order is the first failing tuple
-in ``itertools.product`` order, so the count and the witness are those
-of the per-instance loop (``oracle.check_laws_per_instance``).  The
-tables live for one call.
+pools.  C order over the grid is the lexicographic order of argument
+tuples, so the first failing entry, its count and its witness are those
+of the per-instance loop, ``oracle.check_laws_per_instance``, which is
+the twin of exhaustive suites and searches alike.  The tables live for
+one call.
 """
 
 from __future__ import annotations
@@ -41,8 +44,7 @@ import inspect
 import operator
 import random
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -227,7 +229,6 @@ CRISP_LAWS: tuple[CrispLaw, ...] = (
 _BY_NAME = {law.name: law for law in CRISP_LAWS}
 
 ASSERTED_CRISP = tuple(law.name for law in CRISP_LAWS if law.asserted)
-RECORDED_CRISP = tuple(law.name for law in CRISP_LAWS if not law.asserted)
 ASSERTED_FUZZY = ("associativity", "identity", "sms-join", "sms-meet")
 RECORDED_FUZZY = ("anti-involution", "contravariance", "cut-composition")
 
@@ -336,7 +337,7 @@ def _check_exhaustive(law: CrispLaw, tables: _Tables) -> LawResult:
     holds = np.broadcast_to(holds, shape)
     res = LawResult(law.name, law.asserted, holds.size)
     if not holds.all():
-        # C order over the grid is itertools.product order over the pools
+        # C order over the grid is lexicographic order over the pools
         first = int(holds.argmin())
         args = [pool[i] for pool, i in zip(pools, np.unravel_index(first, holds.shape))]
         res.checked = first + 1
@@ -368,35 +369,38 @@ def fuzzy_sampler(seed: int, lattice: FiniteLattice):
     return sample
 
 
-def _hom_spaces(pattern: str, x, y, z) -> tuple[FiniteSpace, FiniteSpace]:
-    by_name = {"x": x, "y": y, "z": z}
-    return by_name[pattern[0]], by_name[pattern[1]]
+# -- one runner per mode -------------------------------------------------------------
 
 
-def _gate(x: FiniteSpace, y: FiniteSpace, z: FiniteSpace) -> None:
-    if max(x.size, y.size, z.size) > 2:
-        raise SpaceTooLarge("exhaustive enumeration is gated at two-point spaces; sample at size 3")
+def _check_sampled(law: CrispLaw, spaces: dict, sample, trials: int) -> LawResult:
+    """Argument ``k`` of trial ``i`` is draw ``len(law.homs) * i + k``; the
+    count runs up to the first witness."""
+    res = LawResult(law.name, law.asserted)
+    for i in range(trials):
+        args = [
+            sample(spaces[hom[0]], spaces[hom[1]], len(law.homs) * i + k)
+            for k, hom in enumerate(law.homs)
+        ]
+        res.checked += 1
+        res.witness = law.evaluate(*args)
+        if res.witness is not None:
+            break
+    return res
 
 
-def _arguments(
-    homs: tuple[str, ...],
-    x: FiniteSpace,
-    y: FiniteSpace,
-    z: FiniteSpace,
-    exhaustive: bool,
-    sampler,
-    trials: int,
-) -> Iterator[tuple[CrispAmbRep, ...]]:
+def _runner(
+    x: FiniteSpace, y: FiniteSpace, z: FiniteSpace, exhaustive: bool, trials: int, seed: int
+) -> Callable[[CrispLaw], LawResult]:
+    """The one way a call runs each of its laws."""
     if exhaustive:
-        _gate(x, y, z)
-        pools = [list(all_crisp_reps(*_hom_spaces(p, x, y, z))) for p in homs]
-        yield from product(*pools)
-    else:
-        for i in range(trials):
-            yield tuple(
-                sampler(*_hom_spaces(p, x, y, z), len(homs) * i + k)
-                for k, p in enumerate(homs)
+        if max(x.size, y.size, z.size) > 2:
+            raise SpaceTooLarge(
+                "exhaustive enumeration is gated at two-point spaces; sample at size 3"
             )
+        tables = _Tables(x, y, z)
+        return lambda law: _check_exhaustive(law, tables)
+    spaces, sample = {"x": x, "y": y, "z": z}, crisp_sampler(seed)
+    return lambda law: _check_sampled(law, spaces, sample, trials)
 
 
 # -- suite runners ----------------------------------------------------------------
@@ -417,21 +421,8 @@ def check_laws(
     law's first witness in enumeration order and counts the instances up
     to it (all of them when the law holds), evaluated on operation tables.
     """
-    if exhaustive:
-        _gate(x, y, z)
-        tables = _Tables(x, y, z)
-        return {law.name: _check_exhaustive(law, tables) for law in CRISP_LAWS}
-    sampler = crisp_sampler(seed)
-    results: dict[str, LawResult] = {}
-    for law in CRISP_LAWS:
-        res = LawResult(law.name, law.asserted)
-        for args in _arguments(law.homs, x, y, z, False, sampler, trials):
-            res.checked += 1
-            res.witness = law.evaluate(*args)
-            if res.witness is not None:
-                break
-        results[law.name] = res
-    return results
+    run = _runner(x, y, z, exhaustive, trials, seed)
+    return {law.name: run(law) for law in CRISP_LAWS}
 
 
 # -- the graded suite ---------------------------------------------------------------
@@ -532,22 +523,19 @@ def search_law(
 
     Returns a verdict payload: either a verified witness or an exhaustion
     certificate stating how many instances were checked.  The verdict is
-    an output of the run, not an assumption.  Meet-distributivity covers
-    both composition arguments.
+    an output of the run, not an assumption.  It runs as a law of
+    :func:`check_laws` does in the same mode.  Meet-distributivity covers
+    both composition arguments: the right law runs while the left holds,
+    and the counts add up.
     """
     if law not in SEARCHABLE:
         raise ValueError(f"searchable laws: {SEARCHABLE}")
     names = [law, "meet-distributivity-right"] if law == "meet-distributivity" else [law]
-    specs = [_BY_NAME[name] for name in names]
-    sampler = crisp_sampler(seed)
-    checked = 0
-    witness = None
-    for spec in specs:
-        for args in _arguments(spec.homs, x, y, z, exhaustive, sampler, trials):
-            checked += 1
-            witness = spec.evaluate(*args)
-            if witness is not None:
-                break
+    run = _runner(x, y, z, exhaustive, trials, seed)
+    checked, witness = 0, None
+    for name in names:
+        res = run(_BY_NAME[name])
+        checked, witness = checked + res.checked, res.witness
         if witness is not None:
             break
     return {

@@ -64,9 +64,9 @@ def _build_parser() -> _Parser:
             if flag == "--exhaustive":
                 sp.add_argument(flag, action="store_true")
             elif flag == "--trials":
-                sp.add_argument(flag, type=_trials, default=200)
+                sp.add_argument(flag, type=_trials)  # unset is None: see _sampling
             elif flag == "--seed":
-                sp.add_argument(flag, type=int, default=0)
+                sp.add_argument(flag, type=int, default=0 if name == "gen" else None)
             elif flag == "--density":
                 sp.add_argument(flag, type=float, default=0.3)
             else:
@@ -91,9 +91,23 @@ def _build_parser() -> _Parser:
 def _emit(args, payload) -> None:
     text = io.dumps(payload)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        # the file first: a path that cannot be written leaves stdout empty
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise MalformedInput(f"cannot write --out {args.out}: {e.strerror or e}") from None
     sys.stdout.write(text)
+
+
+def _sampling(args) -> tuple[int, int]:
+    """``--trials`` and ``--seed`` of a law run, 200 and 0 when unset; an
+    exhaustive run reads neither, so it refuses both."""
+    if args.exhaustive:
+        for flag in ("--trials", "--seed"):
+            if getattr(args, flag[2:]) is not None:
+                raise MalformedInput(f"{flag} applies to sampled runs, not --exhaustive")
+    return (200 if args.trials is None else args.trials), (args.seed or 0)
 
 
 def _load_rep(path: str | None):
@@ -197,6 +211,8 @@ def _run(args) -> int:
                 out = op(rep1, rep2)
             _emit(args, io.fuzzy_rep_payload(out, tn1 or tn2))
         else:
+            if getattr(args, "tnorm", None) is not None:
+                raise MalformedInput("--tnorm applies to graded representations, not crisp ones")
             op = {"compose": crisp.compose, "join": crisp.join, "meet": crisp.meet}[args.verb]
             _emit(args, io.crisp_rep_payload(op(rep1, rep2)))
         return 0
@@ -246,17 +262,15 @@ def _run(args) -> int:
         if suite == "crisp":
             if args.lattice:
                 raise MalformedInput("--lattice applies to the fuzzy suite only")
+            trials, seed = _sampling(args)
             x, y, z = _spaces(args.sizes or "2,2,2", 3)
-            results = check_laws(
-                x, y, z, trials=args.trials, exhaustive=args.exhaustive, seed=args.seed
-            )
+            results = check_laws(x, y, z, trials=trials, exhaustive=args.exhaustive, seed=seed)
         elif suite == "fuzzy":
             if args.exhaustive:
                 raise MalformedInput("--exhaustive applies to the crisp suite only")
+            trials, seed = _sampling(args)
             x, y, z = _spaces(args.sizes or "2,2,2", 3)
-            results = check_fuzzy_laws(
-                x, y, z, _named_lattice(args.lattice), trials=args.trials, seed=args.seed
-            )
+            results = check_fuzzy_laws(x, y, z, _named_lattice(args.lattice), trials, seed)
         else:
             raise MalformedInput("--suite must be crisp or fuzzy")
         payload = {"suite": suite, "laws": [r.payload() for r in results.values()]}
@@ -271,9 +285,10 @@ def _run(args) -> int:
     if args.verb == "search":
         if args.law not in SEARCHABLE:
             raise MalformedInput(f"--law must be one of {', '.join(SEARCHABLE)}")
+        trials, seed = _sampling(args)
         x, y, z = _spaces(args.sizes or "2,2,2", 3)
         verdict = search_law(
-            args.law, x, y, z, exhaustive=args.exhaustive, trials=args.trials, seed=args.seed
+            args.law, x, y, z, exhaustive=args.exhaustive, trials=trials, seed=seed
         )
         _emit(args, verdict)
         print(f"{args.law}: {verdict['verdict']}", file=sys.stderr)

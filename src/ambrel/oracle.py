@@ -243,7 +243,11 @@ def check_laws_per_instance(
     """``laws.check_laws(x, y, z, exhaustive=True)`` without operation
     tables: each law's evaluator runs on every argument tuple of the
     enumerated pools in ``itertools.product`` order and stops at the first
-    witness.  Ungated; the count of instances grows doubly exponentially."""
+    witness.  It is the twin of exhaustive searches too, which run on the
+    same tables: ``search_law(law, ..., exhaustive=True)`` reports the
+    count and witness of ``law`` here, and ``meet-distributivity`` adds
+    the count of ``meet-distributivity-right`` while it holds.  Ungated;
+    the count of instances grows doubly exponentially."""
     spaces = {"x": x, "y": y, "z": z}
     results = {}
     for law in CRISP_LAWS:

@@ -312,15 +312,30 @@ def test_cli_laws_fuzzy(capsys):
         (("laws", "--suite", "fuzzy", "--trials", "-3"), "--trials"),
         (("search", "--law", "modular", "--trials", "-1"), "--trials"),
         (("laws", "--trials", "0"), "--trials"),
+        (("laws", "--exhaustive", "--trials", "3", "--seed", "9", "--sizes", "1,1,1"), "--trials"),
+        (("laws", "--exhaustive", "--seed", "0", "--sizes", "1,1,1"), "--seed"),
+        (("search", "--law", "modular", "--exhaustive", "--trials", "3"), "--trials"),
+        (("search", "--law", "anti-involution", "--exhaustive", "--seed", "4"), "--seed"),
     ],
 )
 def test_cli_laws_flags_the_suite_ignores_exit_three(capsys, argv, flag):
-    # a flag the chosen suite would ignore, or a trial count below 1 that
-    # would report "holds" over no instances, is refused, not misread
+    # a flag the chosen suite or mode would ignore, or a trial count below 1
+    # that would report "holds" over no instances, is refused, not misread
     assert main(list(argv)) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("laws", "--sizes", "1,2,1"), ("laws", "--suite", "fuzzy", "--sizes", "1,1,1"),
+     ("search", "--law", "contravariance", "--sizes", "2,1,2")],
+)
+def test_cli_sampled_law_runs_default_to_200_trials_and_seed_0(capsys, argv):
+    want = run_cli(capsys, *argv, "--trials", "200", "--seed", "0")
+    assert want[0] in (0, 2)
+    assert run_cli(capsys, *argv) == want
 
 
 def test_cli_search_exit_codes(tmp_path, capsys):
@@ -615,6 +630,28 @@ def test_cli_one_or_equal_embedded_tnorms_compose(tmp_path, capsys, chain3):
     assert json.loads(out)["lattice"]["tnorm"] == [["0", "0", "0"], ["0", "0", "m"], ["0", "m", "1"]]
     assert run_cli(capsys, "compose", "--rep", plain, "--rep2", luk_file) == (0, out)
     assert run_cli(capsys, "compose", "--rep", luk_file, "--rep2", luk_again) == (0, out)
+
+
+def test_cli_crisp_compose_refuses_tnorm(tmp_path, capsys):
+    # crisp composition has no t-norm; the flag used to be dropped unread
+    path = tmp_path / "id.json"
+    assert run_cli(capsys, "gen", "--kind", "identity", "--sizes", "2", "--out", str(path))[0] == 0
+    for tnorm in ("nosuchfile.json", "lukasiewicz", "meet"):
+        assert main(["compose", "--rep", str(path), "--rep2", str(path), "--tnorm", tnorm]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tnorm applies to graded" in captured.err
+    assert run_cli(capsys, "compose", "--rep", str(path), "--rep2", str(path))[0] == 0
+
+
+def test_cli_unwritable_out_exits_three(tmp_path, capsys):
+    path = tmp_path / "id.json"
+    assert run_cli(capsys, "gen", "--kind", "identity", "--sizes", "2", "--out", str(path))[0] == 0
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main(["sms", "--rep", str(path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--out {out}" in captured.err
 
 
 def test_cli_parser_is_built_once():

@@ -40,10 +40,11 @@ from .hyperspace import (
 # reads tuple lengths, which cost less than FiniteSpace.full, because
 # the per-instance law callers run these operations thousands of times
 # on 1- and 2-point spaces: a sampled crisp suite makes about 4,400
-# compose calls at the default 200 trials, an exhaustive search up to
-# about 2,000 at 2,2,2, and the oracle twin of the exhaustive suite
-# about 230,000.  The exhaustive suite itself calls compose only to fill
-# its operation tables, about 3,200 times at 2,2,2.
+# compose calls at the default 200 trials and the oracle twin of the
+# exhaustive suite about 230,000.  Exhaustive suites and searches build
+# their operation tables for whole pools with the stacked kernels
+# (_compose_rows, _sms_rows) and call compose only to re-evaluate a
+# witness.
 ARRAY_MIN_CELLS = 49
 
 
@@ -225,12 +226,18 @@ def _sms_loop(rep: CrispAmbRep) -> CrispAmbRep:
 
 
 def _sms_masks(rep: CrispAmbRep) -> CrispAmbRep:
-    X, Y = rep.source, rep.target
-    rows = np.asarray(rep.rows, dtype=np.int64)
-    # unavoidable[bt - 1, a - 1]: bt meets every admissible set of a
-    unavoidable = rows & ~_meets_masks(Y)[:, None] == 0
-    kept = np.where(unavoidable, _meets_masks(X), full_family(X))
-    return CrispAmbRep(Y, X, tuple(np.bitwise_and.reduce(kept, axis=1).tolist()))
+    rows = _sms_rows(np.asarray(rep.rows, dtype=np.int64), rep.source, rep.target)
+    return CrispAmbRep(rep.target, rep.source, tuple(rows.tolist()))
+
+
+def _sms_rows(rows: np.ndarray, source: FiniteSpace, target: FiniteSpace) -> np.ndarray:
+    """The rows of the pseudo-inverses of stacked representations: ``rows``
+    has the source sets on its last axis and any leading axes, and the
+    result has the target sets there instead."""
+    # unavoidable[..., bt - 1, a - 1]: bt meets every admissible set of a
+    unavoidable = rows[..., None, :] & ~_meets_masks(target)[:, None] == 0
+    kept = np.where(unavoidable, _meets_masks(source), full_family(source))
+    return np.bitwise_and.reduce(kept, axis=-1)
 
 
 def is_pseudo_invertible(rep: CrispAmbRep) -> bool:
@@ -286,8 +293,16 @@ def _compose_loop(r: CrispAmbRep, s: CrispAmbRep) -> CrispAmbRep:
 
 
 def _compose_masks(r: CrispAmbRep, s: CrispAmbRep) -> CrispAmbRep:
-    picked = np.where(_unpack(r.rows, r.target), np.asarray(s.rows, dtype=np.int64), 0)
-    return CrispAmbRep(r.source, s.target, tuple(np.bitwise_or.reduce(picked, axis=1).tolist()))
+    rows = _compose_rows(np.asarray(r.rows), np.asarray(s.rows, dtype=np.int64), r.target)
+    return CrispAmbRep(r.source, s.target, tuple(rows.tolist()))
+
+
+def _compose_rows(r_rows: np.ndarray, s_rows: np.ndarray, middle: FiniteSpace) -> np.ndarray:
+    """The rows of stacked composites: the last axis of ``r_rows`` runs over
+    the source sets and that of ``s_rows`` over the ``middle`` sets, and
+    their leading axes broadcast together."""
+    picked = np.where(_unpack(r_rows, middle), s_rows[..., None, :], 0)
+    return np.bitwise_or.reduce(picked, axis=-1)
 
 
 # -- worked examples ---------------------------------------------------------

@@ -28,14 +28,19 @@ densities and evaluates instance by instance up to the first witness.
 Exhaustive mode evaluates the same predicates on operation tables.  The
 representations between two finite spaces form a lattice and are
 the arrows of a category, so each enumerated pool is closed under the
-operations: every operation is a table of pool indices, filled by the
-``crisp`` operation at the pairs of arguments a law reaches, and a law
-is one boolean array over open ``np.indices`` grids of its argument
-pools.  C order over the grid is the lexicographic order of argument
-tuples, so the first failing entry, its count and its witness are those
-of the per-instance loop, ``oracle.check_laws_per_instance``, which is
-the twin of exhaustive suites and searches alike.  The tables live for
-one call.
+operations: every operation is a table of pool indices, and a law is
+one boolean array over open ``np.indices`` grids of its argument pools.
+A pool is enumerated once per pair of spaces, by ``all_crisp_reps`` and
+in its order, and kept with its rows stacked in one int64 array; each
+table is built for whole pools by one array kernel, and its results
+map back to pool indices through packed row keys.  The tables live for
+one call, and ``oracle.OperationTablesPerPair``, which fills them by
+one ``crisp`` call per pair, is their twin.  C order over the grid is
+the lexicographic order of argument tuples, so the first failing entry,
+its count and its witness are those of the per-instance loop,
+``oracle.check_laws_per_instance``, which is the twin of exhaustive
+suites and searches alike.  The witness is evaluated again on the
+representations themselves, through ``crisp``.
 """
 
 from __future__ import annotations
@@ -44,16 +49,17 @@ import inspect
 import operator
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import crisp, fuzzy
 from .catalog import all_crisp_reps, lukasiewicz
-from .crisp import CrispAmbRep
+from .crisp import CrispAmbRep, _compose_rows, _sms_rows
 from .errors import SpaceTooLarge
 from .generators import random_fuzzy_rep, random_rep
-from .hyperspace import FiniteSpace
+from .hyperspace import FiniteSpace, _frozen
 from .lattice import FiniteLattice, TNormTable, meet_tnorm
 from .io import crisp_rep_payload, fuzzy_rep_payload
 
@@ -251,85 +257,107 @@ class _Grid(NamedTuple):
         return self.hom[1]
 
 
+class _Pool(NamedTuple):
+    """Every representation between two spaces, in ``all_crisp_reps``
+    order, with its rows stacked into one read-only int64 array of shape
+    ``(N, source.full)``.  A representation's key packs its rows into one
+    int64, ``rows[k] << k * target.full``; the keys are kept sorted, with
+    the pool index of each."""
+
+    reps: tuple[CrispAmbRep, ...]
+    rows: np.ndarray
+    shifts: np.ndarray  # the bit offset of each row in a key
+    keys: np.ndarray  # ascending
+    order: np.ndarray  # order[i]: the pool index of keys[i]
+
+    def index(self, rows: np.ndarray) -> np.ndarray:
+        """The pool indices of stacked rows, over their leading axes;
+        ``KeyError`` if some rows are not in the pool."""
+        keys = np.bitwise_or.reduce(rows << self.shifts, axis=-1)
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        if not np.array_equal(self.keys[at], keys):
+            raise KeyError("rows outside the pool of their spaces")
+        return self.order[at]
+
+
+@lru_cache(maxsize=None)
+def _pool(source: FiniteSpace, target: FiniteSpace) -> _Pool:
+    reps = tuple(all_crisp_reps(source, target))
+    rows = _frozen(np.array([rep.rows for rep in reps], dtype=np.int64))
+    shifts = _frozen(np.arange(source.full, dtype=np.int64) * target.full)
+    keys = np.bitwise_or.reduce(rows << shifts, axis=-1)
+    order = _frozen(np.argsort(keys))
+    return _Pool(reps, rows, shifts, _frozen(keys[order]), order)
+
+
 class _Tables:
     """Law operations on index grids over the pools of every representation
     between the spaces of one call.
 
-    Each binary operation is a table over pairs of pool indices, filled
-    by the ``crisp`` operation at the pairs a law reaches, the first time
-    it reaches them; ``sms`` is filled for its whole pool at once.  Pools
-    are closed under every operation, so each result has an index, and
-    they hold distinct representations, so ``eq`` compares indices.
+    Each operation is a table over the pool indices of its arguments,
+    built for the whole pools in one array step the first time a law
+    reaches it: ``compose`` ORs rows of the right pool over the middle
+    sets each row of the left pool admits, ``join``, ``meet`` and ``le``
+    are elementwise on rows, and ``sms`` is the pseudo-inversion kernel
+    over the pool.  Pools are closed under every operation, so each
+    result has an index, and they hold distinct representations, so
+    ``eq`` compares indices.  ``oracle.OperationTablesPerPair`` is the
+    twin that fills each entry by one ``crisp`` call.
     """
 
     def __init__(self, x: FiniteSpace, y: FiniteSpace, z: FiniteSpace):
         self._spaces = {"x": x, "y": y, "z": z}
-        self._pools: dict[str, list[CrispAmbRep]] = {}
-        self._index: dict[str, dict[tuple[int, ...], int]] = {}
-        self._tables: dict[tuple, np.ndarray] = {}
-        self._complete: set[tuple] = set()  # tables with every entry filled
+        self._tables: dict[tuple[str, ...], np.ndarray] = {}
 
-    def pool(self, hom: str) -> list[CrispAmbRep]:
-        if hom not in self._pools:
-            pool = list(all_crisp_reps(self._spaces[hom[0]], self._spaces[hom[1]]))
-            self._pools[hom] = pool
-            self._index[hom] = {rep.rows: i for i, rep in enumerate(pool)}
-        return self._pools[hom]
-
-    def _position(self, hom: str, rep: CrispAmbRep) -> int:
-        self.pool(hom)
-        return self._index[hom][rep.rows]
-
-    def _pairwise(self, op: Callable, r: _Grid, s: _Grid, hom: str | None) -> np.ndarray:
-        """``op`` at every pair of ``r`` and ``s``: pool indices in ``hom``,
-        or the results themselves (booleans) when ``hom`` is None."""
-        key = (op, r.hom, s.hom)
-        table = self._tables.get(key)
-        if key not in self._complete:
-            left, right = self.pool(r.hom), self.pool(s.hom)
-            if table is None:
-                table = self._tables[key] = np.full((len(left), len(right)), -1, np.int32)
-            new = np.zeros(table.shape, dtype=bool)
-            new[r.at, s.at] = True
-            new &= table < 0
-            for i, j in zip(*(axis.tolist() for axis in np.nonzero(new))):
-                out = op(left[i], right[j])
-                table[i, j] = out if hom is None else self._position(hom, out)
-            if table.min() >= 0:
-                self._complete.add(key)
-        return table[r.at, s.at]
+    def pool(self, hom: str) -> _Pool:
+        return _pool(self._spaces[hom[0]], self._spaces[hom[1]])
 
     def compose(self, r: _Grid, s: _Grid) -> _Grid:
-        hom = r.source + s.target
-        return _Grid(hom, self._pairwise(crisp.compose, r, s, hom))
+        hom, key = r.source + s.target, ("compose", r.hom, s.hom)
+        if key not in self._tables:
+            left, right = self.pool(r.hom).rows, self.pool(s.hom).rows
+            rows = _compose_rows(left[:, None], right, self._spaces[r.target])
+            self._tables[key] = self.pool(hom).index(rows)
+        return _Grid(hom, self._tables[key][r.at, s.at])
+
+    def _rowwise(self, op: np.ufunc, r: _Grid, s: _Grid) -> _Grid:
+        key = (op.__name__, r.hom)
+        if key not in self._tables:
+            rows = self.pool(r.hom).rows
+            self._tables[key] = self.pool(r.hom).index(op(rows[:, None], rows))
+        return _Grid(r.hom, self._tables[key][r.at, s.at])
 
     def join(self, r: _Grid, s: _Grid) -> _Grid:
-        return _Grid(r.hom, self._pairwise(crisp.join, r, s, r.hom))
+        return self._rowwise(np.bitwise_or, r, s)
 
     def meet(self, r: _Grid, s: _Grid) -> _Grid:
-        return _Grid(r.hom, self._pairwise(crisp.meet, r, s, r.hom))
+        return self._rowwise(np.bitwise_and, r, s)
 
     def sms(self, r: _Grid) -> _Grid:
         hom, key = r.hom[::-1], ("sms", r.hom)
         if key not in self._tables:
-            self._tables[key] = np.array(
-                [self._position(hom, crisp.sms(a)) for a in self.pool(r.hom)], np.int32
-            )
+            rows = _sms_rows(self.pool(r.hom).rows, self._spaces[r.source], self._spaces[r.target])
+            self._tables[key] = self.pool(hom).index(rows)
         return _Grid(hom, self._tables[key][r.at])
 
     def identity(self, point: str) -> _Grid:
         hom = point + point
-        return _Grid(hom, np.intp(self._position(hom, crisp.identity(self._spaces[point]))))
+        rows = np.array(crisp.identity(self._spaces[point]).rows)
+        return _Grid(hom, self.pool(hom).index(rows))
 
     def le(self, r: _Grid, s: _Grid) -> np.ndarray:
-        return self._pairwise(operator.le, r, s, None) == 1
+        key = ("le", r.hom)
+        if key not in self._tables:
+            rows = self.pool(r.hom).rows
+            self._tables[key] = (rows[:, None] & ~rows == 0).all(axis=-1)
+        return self._tables[key][r.at, s.at]
 
     def eq(self, r: _Grid, s: _Grid) -> np.ndarray:
         return r.at == s.at
 
 
 def _check_exhaustive(law: CrispLaw, tables: _Tables) -> LawResult:
-    pools = [tables.pool(hom) for hom in law.homs]
+    pools = [tables.pool(hom).reps for hom in law.homs]
     shape = tuple(len(pool) for pool in pools)
     # open grids: each intermediate spans only the arguments it depends on
     grids = np.indices(shape, sparse=True)
@@ -388,6 +416,12 @@ def _check_sampled(law: CrispLaw, spaces: dict, sample, trials: int) -> LawResul
     return res
 
 
+def _require_trials(trials: int) -> None:
+    # zero trials would report a clean verdict over no instances
+    if trials < 1:
+        raise ValueError(f"sampled runs need trials >= 1, got trials={trials}")
+
+
 def _runner(
     x: FiniteSpace, y: FiniteSpace, z: FiniteSpace, exhaustive: bool, trials: int, seed: int
 ) -> Callable[[CrispLaw], LawResult]:
@@ -399,6 +433,7 @@ def _runner(
             )
         tables = _Tables(x, y, z)
         return lambda law: _check_exhaustive(law, tables)
+    _require_trials(trials)
     spaces, sample = {"x": x, "y": y, "z": z}, crisp_sampler(seed)
     return lambda law: _check_sampled(law, spaces, sample, trials)
 
@@ -468,6 +503,7 @@ def check_fuzzy_laws(
     ``instances_checked == trials``, and keeps its first witness, where
     the crisp suites count up to their first witness.
     """
+    _require_trials(trials)
     sample = fuzzy_sampler(seed, lattice)
     tnorms: list[TNormTable] = [meet_tnorm(lattice)]
     if lattice.is_chain() and lattice.size > 1:

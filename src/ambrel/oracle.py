@@ -3,14 +3,16 @@
 Every formula-driven operator in the package has a quantifier-literal
 re-implementation here, sharing no code with the fast paths, so that
 agreement between the two is meaningful evidence.  The crisp law suite
-is the exception: each law is stated once, in ``laws``, and its twin
-here checks the operation tables by evaluating the statements one
-instance at a time.  These are used by the test suite and the
+is the exception: each law is stated once, in ``laws``, and its twins
+here check the operation tables two ways, by evaluating the statements
+one instance at a time and by filling every table entry with one
+``crisp`` call per pair of arguments.  These are used by the test suite and the
 benchmark's output checks; they make no attempt at speed.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -28,7 +30,7 @@ from .generators import MetricTable
 from .hyperencoding import TernaryHyperRelation
 from .hyperspace import FiniteSpace
 from .lattice import MAX_LATTICE, FiniteLattice, TNormTable
-from .laws import CRISP_LAWS, LawResult
+from .laws import CRISP_LAWS, LawResult, _Grid
 
 
 def _nonempty_subsets(n: int):
@@ -260,6 +262,69 @@ def check_laws_per_instance(
                 break
         results[law.name] = res
     return results
+
+
+class OperationTablesPerPair:
+    """``laws._Tables`` filled one ``crisp`` call per pair of arguments.
+
+    Each method takes and returns the same index grids as the tables do.
+    An entry is the pool position of the ``crisp`` operation's result,
+    found in a dict keyed by rows (``KeyError`` if the result is not in
+    its pool); the entries a grid does not reach stay at ``-1``.  Pools
+    are enumerated here by ``all_crisp_reps``, one list per hom set."""
+
+    def __init__(self, x: FiniteSpace, y: FiniteSpace, z: FiniteSpace):
+        self._spaces = {"x": x, "y": y, "z": z}
+        self._pools: dict[str, list[CrispAmbRep]] = {}
+        self._index: dict[str, dict[tuple[int, ...], int]] = {}
+
+    def pool(self, hom: str) -> list[CrispAmbRep]:
+        if hom not in self._pools:
+            pool = list(all_crisp_reps(self._spaces[hom[0]], self._spaces[hom[1]]))
+            self._pools[hom] = pool
+            self._index[hom] = {rep.rows: i for i, rep in enumerate(pool)}
+        return self._pools[hom]
+
+    def _position(self, hom: str, rep: CrispAmbRep) -> int:
+        self.pool(hom)
+        return self._index[hom][rep.rows]
+
+    def _pairwise(self, op, r: _Grid, s: _Grid, hom: str | None) -> np.ndarray:
+        """``op`` at every pair of ``r`` and ``s``: pool indices in ``hom``,
+        or the results themselves (booleans) when ``hom`` is None."""
+        left, right = self.pool(r.hom), self.pool(s.hom)
+        table = np.full((len(left), len(right)), -1, np.intp)
+        reached = np.zeros(table.shape, dtype=bool)
+        reached[r.at, s.at] = True
+        for i, j in zip(*(axis.tolist() for axis in np.nonzero(reached))):
+            out = op(left[i], right[j])
+            table[i, j] = out if hom is None else self._position(hom, out)
+        return table[r.at, s.at]
+
+    def compose(self, r: _Grid, s: _Grid) -> _Grid:
+        hom = r.source + s.target
+        return _Grid(hom, self._pairwise(crisp.compose, r, s, hom))
+
+    def join(self, r: _Grid, s: _Grid) -> _Grid:
+        return _Grid(r.hom, self._pairwise(crisp.join, r, s, r.hom))
+
+    def meet(self, r: _Grid, s: _Grid) -> _Grid:
+        return _Grid(r.hom, self._pairwise(crisp.meet, r, s, r.hom))
+
+    def sms(self, r: _Grid) -> _Grid:
+        hom = r.hom[::-1]
+        table = np.array([self._position(hom, crisp.sms(a)) for a in self.pool(r.hom)], np.intp)
+        return _Grid(hom, table[r.at])
+
+    def identity(self, point: str) -> _Grid:
+        hom = point + point
+        return _Grid(hom, np.intp(self._position(hom, crisp.identity(self._spaces[point]))))
+
+    def le(self, r: _Grid, s: _Grid) -> np.ndarray:
+        return self._pairwise(operator.le, r, s, None) == 1
+
+    def eq(self, r: _Grid, s: _Grid) -> np.ndarray:
+        return r.at == s.at
 
 
 # -- graded kernels, one pair at a time ------------------------------------------

@@ -2,9 +2,10 @@ import hashlib
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
 import pytest
 
-from ambrel import crisp, fuzzy, io, oracle
+from ambrel import crisp, fuzzy, io, laws, oracle
 from ambrel.catalog import boolean_square, chain
 from ambrel.errors import SpaceTooLarge
 from ambrel.hyperspace import space
@@ -196,7 +197,8 @@ def test_exhaustive_gate_in_python_api(x3, y2, z2):
 
 def test_exhaustive_suite_calls_rebound_crisp_operations(monkeypatch):
     # a profiler rebinds crisp functions by module attribute, with wrappers
-    # that need not keep the name; the tables must see them and keep apart
+    # that need not keep the name; the tables are built by array kernels,
+    # but witnesses are re-evaluated through crisp looked up at call time
     x, y, z = _spaces((1, 2, 2))
     want = {name: res.payload() for name, res in check_laws(x, y, z, exhaustive=True).items()}
     calls = dict.fromkeys(("compose", "join", "meet", "sms"), 0)
@@ -209,4 +211,64 @@ def test_exhaustive_suite_calls_rebound_crisp_operations(monkeypatch):
         monkeypatch.setattr(crisp, name, counted)
     got = {name: res.payload() for name, res in check_laws(x, y, z, exhaustive=True).items()}
     assert got == want
-    assert all(calls.values()), calls
+    assert calls["compose"] and calls["meet"] and calls["sms"], calls
+
+
+@pytest.mark.parametrize("sizes", list(product((1, 2), repeat=3)))
+def test_operation_tables_match_per_pair_operations(sizes):
+    # every entry of every table, over every hom set between the three spaces
+    tables, twin = laws._Tables(*_spaces(sizes)), oracle.OperationTablesPerPair(*_spaces(sizes))
+    homs = [a + b for a in "xyz" for b in "xyz"]
+
+    def grid(hom, axis):
+        at = np.arange(len(twin.pool(hom)))
+        return laws._Grid(hom, at[:, None] if axis == 0 else at)
+
+    for hom in homs:
+        assert tables.pool(hom).reps == tuple(twin.pool(hom))
+        r, s = grid(hom, 0), grid(hom, 1)
+        for op in ("join", "meet", "le"):
+            got, want = getattr(tables, op)(r, s), getattr(twin, op)(r, s)
+            if op != "le":
+                assert got.hom == want.hom
+                got, want = got.at, want.at
+            np.testing.assert_array_equal(got, want, err_msg=f"{op} on {hom}")
+        got, want = tables.sms(s), twin.sms(s)
+        assert got.hom == want.hom
+        np.testing.assert_array_equal(got.at, want.at, err_msg=f"sms on {hom}")
+    for hom_r, hom_s in product(homs, repeat=2):
+        if hom_r[1] == hom_s[0]:
+            r, s = grid(hom_r, 0), grid(hom_s, 1)
+            got, want = tables.compose(r, s), twin.compose(r, s)
+            assert got.hom == want.hom
+            np.testing.assert_array_equal(got.at, want.at, err_msg=f"compose {hom_r};{hom_s}")
+    for point in "xyz":
+        got, want = tables.identity(point), twin.identity(point)
+        assert got.hom == want.hom and got.at == want.at
+
+
+def test_pool_index_refuses_rows_outside_the_pool(x2, y2):
+    pool = laws._pool(x2, y2)
+    assert pool.index(pool.rows).tolist() == list(range(len(pool.reps)))
+    with pytest.raises(KeyError):
+        pool.index(np.zeros(x2.full, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda x, y, z: check_laws(x, y, z, trials=0),
+        lambda x, y, z: search_law("modular", x, y, z, trials=-5),
+        lambda x, y, z: check_fuzzy_laws(x, y, z, chain(3), trials=0),
+    ],
+    ids=["check_laws", "search_law", "check_fuzzy_laws"],
+)
+def test_sampled_runs_refuse_trials_below_one(run, x2, y2, z2):
+    # zero trials would report a clean verdict over no instances
+    with pytest.raises(ValueError, match="trials"):
+        run(x2, y2, z2)
+
+
+def test_exhaustive_runs_do_not_read_trials(x2, y2, z2):
+    assert check_laws(x2, y2, z2, trials=0, exhaustive=True)["associativity"].holds
+    assert search_law("modular", x2, y2, z2, exhaustive=True, trials=-5)["instances_checked"] > 0

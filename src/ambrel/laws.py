@@ -280,7 +280,9 @@ class _Pool(NamedTuple):
         return self.order[at]
 
 
-@lru_cache(maxsize=None)
+# pools under the two-point gate hold at most 25 representations; the
+# bound keeps a process that meets many labellings of the spaces small
+@lru_cache(maxsize=256)
 def _pool(source: FiniteSpace, target: FiniteSpace) -> _Pool:
     reps = tuple(all_crisp_reps(source, target))
     rows = _frozen(np.array([rep.rows for rep in reps], dtype=np.int64))

@@ -6,8 +6,8 @@ agreement between the two is meaningful evidence.  The crisp law suite
 is the exception: each law is stated once, in ``laws``, and its twins
 here check the operation tables two ways, by evaluating the statements
 one instance at a time and by filling every table entry with one
-``crisp`` call per pair of arguments.  These are used by the test suite and the
-benchmark's output checks; they make no attempt at speed.
+``crisp`` call per pair of arguments.  These are used by the test suite
+and the benchmark's output checks; they make no attempt at speed.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ def check_laws_per_instance(
 class OperationTablesPerPair:
     """``laws._Tables`` filled one ``crisp`` call per pair of arguments.
 
-    Each method takes and returns the same index grids as the tables do.
+    Each operation takes and returns the same index grids as the tables do.
     An entry is the pool position of the ``crisp`` operation's result,
     found in a dict keyed by rows (``KeyError`` if the result is not in
     its pool); the entries a grid does not reach stay at ``-1``.  Pools
@@ -322,9 +322,6 @@ class OperationTablesPerPair:
 
     def le(self, r: _Grid, s: _Grid) -> np.ndarray:
         return self._pairwise(operator.le, r, s, None) == 1
-
-    def eq(self, r: _Grid, s: _Grid) -> np.ndarray:
-        return r.at == s.at
 
 
 # -- graded kernels, one pair at a time ------------------------------------------

@@ -15,7 +15,7 @@ from typing import Iterator
 from .crisp import CrispAmbRep
 from .errors import ValidationError
 from .hyperspace import FiniteSpace, full_family, is_inclusion_hyperspace
-from .lattice import FiniteLattice, TNormTable, validate_lattice, validate_tnorm
+from .lattice import FiniteLattice, TNormTable, _levels, validate_lattice
 
 
 # -- standard lattices -------------------------------------------------------
@@ -62,12 +62,16 @@ def diamond_leq() -> tuple[list[str], list[list[bool]]]:
 
 
 def lukasiewicz(chain_lattice: FiniteLattice) -> TNormTable:
-    """Truncated addition on a chain: ``i * j = max(i + j - top, 0)``."""
+    """Truncated addition on the levels of a chain listed in any order: the
+    elements at levels ``i`` and ``j`` give the one at level
+    ``max(i + j - top, 0)``.  Valid by construction (``docs/properties.md``)."""
     if not chain_lattice.is_chain():
         raise ValidationError("NotAChain", "this grade combination needs a chain")
-    n = chain_lattice.size
-    table = [[max(i + j - (n - 1), 0) for j in range(n)] for i in range(n)]
-    return validate_tnorm(chain_lattice, table, "lukasiewicz")
+    at = _levels(chain_lattice)
+    level = at.argsort()
+    table = at[(level[:, None] + level - (chain_lattice.size - 1)).clip(0)]
+    table.setflags(write=False)
+    return TNormTable(chain_lattice, table, "lukasiewicz")
 
 
 # -- enumerators -------------------------------------------------------------

@@ -446,7 +446,7 @@ def union_counterexample(
         for b in target.subsets():
             if b & y1 and b != target.full:
                 g[x1 - 1, b - 1] = grade
-        return validate(source, target, lattice, g)
+        return LFuzzyAmbRep(source, target, lattice, g)
 
     rf, sf = build(a_grade), build(b_grade)
     witness_b = y1  # the singleton neighbourhood of the common point

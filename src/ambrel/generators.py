@@ -16,14 +16,19 @@ from typing import Sequence
 
 import numpy as np
 
-from . import crisp, fuzzy
-from .capacity import LCapacity, validate_capacity
+from . import crisp
+from .capacity import LCapacity
 from .crisp import CrispAmbRep
 from .errors import ValidationError
 from .fuzzy import LFuzzyAmbRep
 from .hyperspace import FiniteSpace, _pack
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, _levels
 from .catalog import chain
+
+
+def _holds(space: FiniteSpace) -> np.ndarray:
+    # _holds(X)[s - 1, i]: point i lies in the nonempty subset s
+    return (np.arange(1, space.full + 1)[:, None] >> np.arange(space.size) & 1).astype(bool)
 
 
 # -- metric example -----------------------------------------------------------
@@ -81,8 +86,8 @@ def metric_rep(m: MetricTable, grades: FiniteLattice) -> LFuzzyAmbRep:
     """Grade pairs by normalized one-sided distance.
 
     The grade of (A, B) quantizes ``1 - max over a in A of dist(a, B) /
-    diameter`` downward onto the chain; containment gives top, a
-    diameter-far pair gives bottom.
+    diameter`` down onto the levels of a chain listed in any order;
+    containment gives top, a diameter-far pair bottom (``docs/properties.md``).
 
     ``min`` and ``max`` commute with ranking, so the one-sided distances
     are taken on the integer ranks of the distinct distances, and only
@@ -96,8 +101,7 @@ def metric_rep(m: MetricTable, grades: FiniteLattice) -> LFuzzyAmbRep:
     distinct = sorted({d for row in m.dist for d in row})
     rank_of = {d: k for k, d in enumerate(distinct)}
     rank = np.array([[rank_of[d] for d in row] for row in m.dist], dtype=np.intp)
-    # inside[s - 1, i]: point i lies in the nonempty subset s
-    inside = (np.arange(1, sp.full + 1)[:, None] >> np.arange(sp.size) & 1).astype(bool)
+    inside = _holds(sp)
     # to_b[i, b - 1]: rank of dist(i, B), the least over the points of B
     to_b = np.where(inside[None, :, :], rank[:, None, :], len(distinct)).min(axis=2)
     # worst[a - 1, b - 1]: rank of the largest dist(i, B) over i in A; the
@@ -107,7 +111,7 @@ def metric_rep(m: MetricTable, grades: FiniteLattice) -> LFuzzyAmbRep:
     for d in distinct:
         val = 1 - (d / diam if diam else Fraction(0))
         level.append(min(int(val * (n_levels - 1)), n_levels - 1))  # floor quantization
-    return fuzzy.validate(sp, sp, grades, np.array(level, dtype=np.intp)[worst])
+    return LFuzzyAmbRep(sp, sp, grades, _levels(grades)[level][worst])
 
 
 # -- grid examples ------------------------------------------------------------
@@ -174,9 +178,10 @@ class GridWindow:
 def translation_rep(g: GridWindow, grades: FiniteLattice | None = None) -> LFuzzyAmbRep:
     """Grade inner/outer set pairs by the shortest embedding shift.
 
-    The grade of (A, B) is ``reach`` minus the smallest Chebyshev length
-    of an integer shift taking A inside B; no shift embeds, grade bottom.
-    Chebyshev lengths keep every grade on the integer chain exactly.
+    The grade of (A, B) is level ``reach`` minus the least Chebyshev
+    length of an integer shift taking A inside B, of a chain listed in any
+    order; no shift embeds, grade bottom.  One array over (shift, inner
+    set, outer set) decides it; valid by construction (``docs/properties.md``).
     """
     r = g.reach
     if r == 0:
@@ -186,28 +191,18 @@ def translation_rep(g: GridWindow, grades: FiniteLattice | None = None) -> LFuzz
     if not grades.is_chain() or grades.size != r + 1:
         raise ValidationError("NotAChain", f"need the {r + 1}-level chain for this window")
     inner, outer = g.inner_space(), g.outer_space()
-    in_cells = g.inner_cells()
-    out_cells = g.outer_cells()
-    out_index = {c: i for i, c in enumerate(out_cells)}
-    table = np.full((inner.full, outer.full), grades.bottom, dtype=np.intp)
-    shifts = [
-        (dx, dy)
-        for dx in range(-g.outer_w + 1, g.outer_w)
-        for dy in range(-g.outer_h + 1, g.outer_h)
-    ]
-    for a in inner.subsets():
-        pts = [in_cells[i] for i in range(inner.size) if a >> i & 1]
-        for b in outer.subsets():
-            best = None
-            for dx, dy in shifts:
-                shifted = [(x + dx, y + dy) for x, y in pts]
-                if any(c not in out_index for c in shifted):
-                    continue
-                if all(b >> out_index[c] & 1 for c in shifted):
-                    length = max(abs(dx), abs(dy))
-                    best = length if best is None else min(best, length)
-            table[a - 1, b - 1] = grades.bottom if best is None else r - best
-    return fuzzy.validate(inner, outer, grades, table)
+    x, y = np.array(g.inner_cells()).T
+    shifts = np.mgrid[1 - g.outer_w : g.outer_w, 1 - g.outer_h : g.outer_h]
+    dx, dy = shifts.reshape(2, -1, 1)
+    # bit[s, i]: the bit of inner cell i moved by shift s in an outer set
+    # mask; bit outer.size, in no outer set, when it leaves the window
+    left = (x + dx < 0) | (x + dx >= g.outer_w) | (y + dy < 0) | (y + dy >= g.outer_h)
+    bit = 1 << np.where(left, outer.size, (x + dx) * g.outer_h + y + dy)
+    # moved[s, a - 1]: the mask of A moved by shift s
+    moved = np.bitwise_or.reduce(np.where(_holds(inner), bit[:, None, :], 0), axis=2)
+    fits = moved[:, :, None] & ~np.arange(1, outer.full + 1) == 0
+    level = np.where(fits, r - np.maximum(abs(dx), abs(dy))[:, :, None], 0).max(axis=0)
+    return LFuzzyAmbRep(inner, outer, grades, _levels(grades)[level])
 
 
 def projection_rep(g: GridWindow) -> CrispAmbRep:
@@ -216,13 +211,12 @@ def projection_rep(g: GridWindow) -> CrispAmbRep:
 
     def column_sets(space: FiniteSpace, cells) -> np.ndarray:
         # column_sets(...)[s - 1] = bitmask of the grid columns subset s meets
-        has_point = np.arange(1, space.full + 1)[:, None] >> np.arange(space.size) & 1 != 0
         column_bits = 1 << np.array([x for x, _ in cells])
-        return np.bitwise_or.reduce(np.where(has_point, column_bits, 0), axis=1)
+        return np.bitwise_or.reduce(np.where(_holds(space), column_bits, 0), axis=1)
 
     ca, cb = column_sets(inner, g.inner_cells()), column_sets(outer, g.outer_cells())
     rows = _pack(ca[:, None] & ~cb[None, :] == 0, outer)
-    return crisp.validate_rows(inner, outer, rows.tolist())
+    return CrispAmbRep(inner, outer, tuple(rows.tolist()))
 
 
 # -- seeded random builders -----------------------------------------------------
@@ -260,7 +254,8 @@ def random_fuzzy_rep(
     Raw grades: bottom with probability ``1 - density``, otherwise top
     with probability ``density`` else a uniform element.  Repair order is
     fixed for determinism: force the full-target column to top, propagate
-    maxima up the target order, then down the source order.
+    maxima up the target order, then down the source order; the result is
+    valid by construction (``docs/properties.md``).
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
@@ -282,13 +277,14 @@ def random_fuzzy_rep(
             smaller = a & ~(1 << i)
             if smaller:
                 g[smaller - 1, :] = lat.join_table[g[smaller - 1, :], g[a - 1, :]]
-    return fuzzy.validate(source, target, lat, g)
+    return LFuzzyAmbRep(source, target, lat, g)
 
 
 def random_capacity(
     space: FiniteSpace, grades: FiniteLattice, seed: int, density: float = 0.5
 ) -> LCapacity:
-    """Random monotone set function with the mandatory bounds."""
+    """Random monotone set function with the mandatory bounds: the empty
+    set is never drawn, the whole space starts at top, and joins keep both."""
     rng = random.Random(seed)
     lat = grades
     values = [lat.bottom] * (space.full + 1)
@@ -301,9 +297,7 @@ def random_capacity(
             smaller = f & ~(1 << i)
             if smaller != f:
                 values[f] = lat.join(values[f], values[smaller])
-    values[0] = lat.bottom
-    values[space.full] = lat.top
-    return validate_capacity(space, grades, values)
+    return LCapacity(space, grades, values)
 
 
 def random_hyper_triples(

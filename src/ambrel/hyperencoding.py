@@ -298,14 +298,6 @@ def encode(rep: LFuzzyAmbRep) -> TernaryHyperRelation:
     return TernaryHyperRelation(rep.source, rep.target, rep.lattice, _encode(rep))
 
 
-def _singletons(masks: np.ndarray, source: FiniteSpace) -> np.ndarray:
-    # the triples whose family is a single subset
-    rows = _bit_weights(source)
-    m = np.zeros_like(masks)
-    m[rows] = masks[rows]
-    return m
-
-
 def bullet(rep: LFuzzyAmbRep) -> TernaryHyperRelation:
     """The singleton-family copy of a representation's subgraph."""
     _gate(rep.source, rep.lattice)
@@ -328,11 +320,12 @@ def decode(t: TernaryHyperRelation) -> LFuzzyAmbRep:
 
 
 def is_encoded(t: TernaryHyperRelation) -> bool:
-    """Fixed-point test recognizing encoded representations."""
-    m = t.masks
-    return np.array_equal(m, _plus(m, t.source, t.lattice)) and np.array_equal(
-        m, _plus(_singletons(m, t.source), t.source, t.lattice)
-    )
+    """Whether ``t`` is ``plus`` of its singleton-family triples; then
+    ``t == plus(t)`` as well, ``plus`` being a closure (``docs/properties.md``)."""
+    rows = _bit_weights(t.source)  # the families of a single subset
+    singletons = np.zeros_like(t.masks)
+    singletons[rows] = t.masks[rows]
+    return np.array_equal(t.masks, _plus(singletons, t.source, t.lattice))
 
 
 def family_sup(reps: Sequence[LFuzzyAmbRep]) -> LFuzzyAmbRep:

@@ -254,6 +254,13 @@ def validate_lattice(elements: Sequence[str], leq: Sequence[Sequence[bool]]) -> 
     )
 
 
+def _levels(lat: FiniteLattice) -> np.ndarray:
+    """``_levels(lat)[k]``: the element of the chain ``lat``, listed in any
+    order, with exactly ``k`` elements strictly below it.  The caller
+    checks that ``lat`` is a chain."""
+    return np.argsort(lat.leq.sum(axis=0))
+
+
 def way_below(lat: FiniteLattice, a: int, b: int) -> bool:
     """Approximation order.
 

@@ -22,11 +22,11 @@ import numpy as np
 
 from . import crisp, fuzzy
 from .capacity import LCapacity, capacity_subgraph
-from .catalog import all_crisp_reps
+from .catalog import all_crisp_reps, chain
 from .crisp import CrispAmbRep
 from .errors import LatticeTooLarge, SpaceMismatch, ValidationError
 from .fuzzy import LFuzzyAmbRep
-from .generators import MetricTable
+from .generators import GridWindow, MetricTable
 from .hyperencoding import TernaryHyperRelation
 from .hyperspace import FiniteSpace
 from .lattice import MAX_LATTICE, FiniteLattice, TNormTable
@@ -460,6 +460,15 @@ def fuzzy_sms_intersection(rep: LFuzzyAmbRep) -> LFuzzyAmbRep:
     return from_cuts_per_pair(Y, X, lat, cut_family)
 
 
+def _levels_by_counting(lat: FiniteLattice) -> list[int]:
+    """``[k]``: the element of the chain ``lat`` with exactly ``k``
+    elements strictly below it, found by counting them."""
+    at = [0] * lat.size
+    for x in range(lat.size):
+        at[sum(lat.le(y, x) for y in range(lat.size)) - 1] = x
+    return at
+
+
 def metric_rep_loops(m: MetricTable, grades: FiniteLattice) -> LFuzzyAmbRep:
     """``generators.metric_rep`` by a triple loop over source sets, their
     points and target points, in exact ``Fraction`` arithmetic."""
@@ -467,6 +476,7 @@ def metric_rep_loops(m: MetricTable, grades: FiniteLattice) -> LFuzzyAmbRep:
         raise ValidationError("NotAChain", "metric grading needs a chain of levels")
     sp = FiniteSpace(m.points)
     n_levels = grades.size
+    at = _levels_by_counting(grades)
     diam = m.diameter
     g = np.full((sp.full, sp.full), grades.bottom, dtype=np.intp)
     for a in sp.subsets():
@@ -479,8 +489,43 @@ def metric_rep_loops(m: MetricTable, grades: FiniteLattice) -> LFuzzyAmbRep:
                 worst = max(worst, d_to_b)
             val = 1 - (worst / diam if diam else Fraction(0))
             level = min(int(val * (n_levels - 1)), n_levels - 1)  # floor quantization
-            g[a - 1, b - 1] = level
+            g[a - 1, b - 1] = at[level]
     return fuzzy.validate(sp, sp, grades, g)
+
+
+def translation_rep_loops(g: GridWindow, grades: FiniteLattice | None = None) -> LFuzzyAmbRep:
+    """``generators.translation_rep`` by loops over inner sets, outer sets
+    and shifts, moving the cells of each inner set one at a time."""
+    r = g.reach
+    if r == 0:
+        raise ValidationError("BadWindow", "outer window needs at least two cells across")
+    if grades is None:
+        grades = chain(r + 1)
+    if not grades.is_chain() or grades.size != r + 1:
+        raise ValidationError("NotAChain", f"need the {r + 1}-level chain for this window")
+    at = _levels_by_counting(grades)
+    inner, outer = g.inner_space(), g.outer_space()
+    in_cells = g.inner_cells()
+    out_index = {c: i for i, c in enumerate(g.outer_cells())}
+    table = np.full((inner.full, outer.full), grades.bottom, dtype=np.intp)
+    shifts = [
+        (dx, dy)
+        for dx in range(-g.outer_w + 1, g.outer_w)
+        for dy in range(-g.outer_h + 1, g.outer_h)
+    ]
+    for a in inner.subsets():
+        pts = [in_cells[i] for i in range(inner.size) if a >> i & 1]
+        for b in outer.subsets():
+            best = None
+            for dx, dy in shifts:
+                shifted = [(x + dx, y + dy) for x, y in pts]
+                if any(c not in out_index for c in shifted):
+                    continue
+                if all(b >> out_index[c] & 1 for c in shifted):
+                    length = max(abs(dx), abs(dy))
+                    best = length if best is None else min(best, length)
+            table[a - 1, b - 1] = grades.bottom if best is None else at[r - best]
+    return fuzzy.validate(inner, outer, grades, table)
 
 
 def capacity_of_per_set(rep: LFuzzyAmbRep, a: int) -> LCapacity:

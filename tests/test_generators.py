@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from ambrel import crisp, fuzzy, io, oracle
-from ambrel.catalog import chain
+from ambrel.capacity import LCapacity, validate_capacity
+from ambrel.catalog import boolean_square, chain, lukasiewicz
 from ambrel.errors import ValidationError
 from ambrel.generators import (
     GridWindow,
@@ -17,6 +19,27 @@ from ambrel.generators import (
     random_rep,
     translation_rep,
 )
+from ambrel.hyperspace import space
+from ambrel.lattice import validate_lattice, validate_tnorm
+
+
+def top_first(lat):
+    """The same chain with its elements listed from the top down."""
+    return validate_lattice(lat.elements[::-1], lat.leq[::-1, ::-1].tolist())
+
+
+CHAINS = [chain(k) for k in (2, 3, 4, 8, 16)]
+CHAINS += [top_first(lat) for lat in CHAINS]
+# every grid window of at most six outer cells, and those a shift can cross
+ALL_WINDOWS = [
+    GridWindow(ow, oh, iw, ih, ix, iy)
+    for ow, oh in product(range(1, 7), repeat=2)
+    if ow * oh <= 6
+    for iw, ih in product(range(1, ow + 1), range(1, oh + 1))
+    for ix, iy in product(range(ow - iw + 1), range(oh - ih + 1))
+]
+WINDOWS = [g for g in ALL_WINDOWS if g.reach >= 1]
+
 
 def test_metric_table_validation():
     with pytest.raises(ValidationError):
@@ -62,7 +85,8 @@ def test_metric_rep_matches_loop_twin():
     metrics = [line_metric(n) for n in range(1, 7)]
     metrics += [shortest_path_metric(n, seed) for n in range(2, 6) for seed in range(3)]
     metrics.append(shortest_path_metric(6, 3))
-    for lat in (chain(2), chain(3), chain(4), chain(8)):
+    lattices = [chain(2), chain(3), chain(4), chain(8)]
+    for lat in lattices + [top_first(lat) for lat in lattices]:
         for m in metrics:
             assert metric_rep(m, lat) == oracle.metric_rep_loops(m, lat)
 
@@ -98,6 +122,13 @@ def test_translation_rep_values():
     assert rep.grade(a, outer.subset(["c0r0"])) == lat.top  # zero shift
     assert rep.grade(a, outer.subset(["c1r0"])) == lat.top - 1  # one-cell shift, reach 2
     assert rep.grade(a, outer.full) == lat.top
+
+
+def test_translation_rep_matches_loop_twin():
+    assert len(WINDOWS) == 155
+    for g in WINDOWS:
+        for grades in (None, top_first(chain(g.reach + 1))):
+            assert translation_rep(g, grades) == oracle.translation_rep_loops(g, grades)
 
 
 def test_translation_rep_no_embedding_is_bottom():
@@ -175,3 +206,63 @@ def test_grid_window_validation():
         GridWindow(0, 2, 1, 1)
     with pytest.raises(ValidationError):
         GridWindow(4, 2, 1, 1)  # more than six cells
+
+
+# -- the builders construct valid objects ---------------------------------------
+
+SPACES = [space(*(f"p{i}" for i in range(n))) for n in (1, 2, 3)]
+DENSITIES = (0.0, 0.3, 1.0)
+
+
+def _union_pairs():
+    for x, y in product(SPACES, SPACES[1:]):
+        yield from fuzzy.union_counterexample(x, y, boolean_square())[:2]
+
+
+BUILDS = {
+    "random_fuzzy_rep": lambda: (
+        random_fuzzy_rep(x, y, lat, seed, density)
+        for x, y in product(SPACES, repeat=2)
+        for lat in CHAINS + [boolean_square()]
+        for seed, density in product(range(3), DENSITIES)
+    ),
+    "random_capacity": lambda: (
+        random_capacity(x, lat, seed, density)
+        for x in SPACES
+        for lat in CHAINS + [boolean_square()]
+        for seed, density in product(range(3), DENSITIES)
+    ),
+    "metric_rep": lambda: (
+        metric_rep(m, lat)
+        for m in [line_metric(n) for n in range(1, 7)]
+        + [shortest_path_metric(n, seed) for n in range(2, 6) for seed in range(3)]
+        for lat in CHAINS
+    ),
+    "translation_rep": lambda: (
+        translation_rep(g, grades)
+        for g in WINDOWS
+        for grades in (None, top_first(chain(g.reach + 1)))
+    ),
+    "projection_rep": lambda: map(projection_rep, ALL_WINDOWS),
+    "union_counterexample": _union_pairs,
+    "lukasiewicz": lambda: map(lukasiewicz, [chain(1)] + CHAINS),
+}
+
+
+def _revalidated(out):
+    """``out`` rebuilt from its raw data by the public validator."""
+    if isinstance(out, fuzzy.LFuzzyAmbRep):
+        return fuzzy.validate(out.source, out.target, out.lattice, out.grades)
+    if isinstance(out, LCapacity):
+        return validate_capacity(out.space, out.lattice, out.values)
+    if isinstance(out, crisp.CrispAmbRep):
+        return crisp.validate_rows(out.source, out.target, out.rows)
+    return validate_tnorm(out.lattice, out.table, out.name)
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDS))
+def test_builders_return_valid_objects(builder):
+    outputs = list(BUILDS[builder]())
+    assert outputs
+    for out in outputs:
+        assert _revalidated(out) == out

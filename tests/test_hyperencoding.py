@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ambrel import fuzzy, oracle
@@ -135,6 +137,35 @@ def test_not_encoded_detection(x2, y2, chain3):
         x2, y2, chain3, [(family_of([1]), 1, chain3.top)]
     )
     assert not he.is_encoded(raw)
+
+
+def test_is_encoded_is_one_closure_test():
+    # the two-test definition: a fixed point of plus that plus rebuilds
+    # from its singleton-family triples.  Raw triples, their plus images,
+    # encodings and encodings with one triple cut, at 1-3 source points
+    def two_tests(t):
+        singles = [(fam, b, alpha) for fam, b, alpha in t.triples() if fam.bit_count() == 1]
+        singles = he.TernaryHyperRelation.from_triples(t.source, t.target, t.lattice, singles)
+        return oracle.plus_literal(singles) == t and oracle.plus_literal(t) == t
+
+    verdicts = []
+    for nx, ny in ((1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+        x = space(*(f"x{i}" for i in range(nx)))
+        y = space(*(f"y{i}" for i in range(ny)))
+        for k, lat in enumerate([chain(2), chain(3), chain(4), boolean_square()]):
+            seed = 100 * nx + 10 * ny + k
+            raw = he.TernaryHyperRelation.from_triples(
+                x, y, lat, random_hyper_triples(x, y, lat, seed, count=1 + seed % 5)
+            )
+            enc = he.encode(random_fuzzy_rep(x, y, lat, seed, 0.5))
+            fam, b, alpha = random.Random(seed).choice(list(enc.triples()))
+            masks = enc.masks.copy()
+            masks[fam, b] ^= 1 << alpha
+            cut = he.TernaryHyperRelation(x, y, lat, masks)
+            for t in (raw, he.plus(raw), enc, cut):
+                verdicts.append(he.is_encoded(t))
+                assert verdicts[-1] == two_tests(t)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_encoding_monotone(x2, y2, chain3):

@@ -372,6 +372,44 @@ def test_cli_gen_geometry(capsys):
     assert payload["witness"]["missing_grade"] == "1"
 
 
+# chain3 with its elements listed from the top down
+TOP_FIRST_CHAIN3 = {
+    "elements": ["1", "m", "0"],
+    "leq": [[True, False, False], [True, True, False], [True, True, True]],
+    "tnorm": None,
+}
+
+
+def test_cli_takes_a_chain_listed_top_first(tmp_path, capsys, x2, y2, z2, chain3):
+    rev = tmp_path / "rev.json"
+    rev.write_text(json.dumps(TOP_FIRST_CHAIN3))
+    code, out = run_cli(capsys, "laws", "--suite", "fuzzy", "--sizes", "1,1,1",
+                        "--trials", "2", "--lattice", str(rev))
+    assert code == 0 and json.loads(out)["asserted_violations"] == []
+
+    metric = [run_cli(capsys, "gen", "--kind", "metric", "--sizes", "3", "--lattice", lat)
+              for lat in (str(rev), "chain3")]
+    assert [code for code, _ in metric] == [0, 0]
+    assert json.loads(metric[0][1])["grades"] == json.loads(metric[1][1])["grades"]
+
+    # the same two graded files written over either listing of chain3
+    reps = {"r": random_fuzzy_rep(x2, y2, chain3, 26, 0.3),
+            "s": random_fuzzy_rep(y2, z2, chain3, 1026, 0.3)}
+    composed = []
+    for lattice in (TOP_FIRST_CHAIN3, io.lattice_payload(chain3)):
+        for name, rep in reps.items():
+            payload = io.fuzzy_rep_payload(rep)
+            payload["lattice"] = lattice
+            (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+        code, out = run_cli(capsys, "compose", "--rep", str(tmp_path / "r.json"),
+                            "--rep2", str(tmp_path / "s.json"), "--tnorm", "lukasiewicz")
+        assert code == 0
+        composed.append(json.loads(out)["grades"])
+    assert composed[0] == composed[1]
+    meet = fuzzy.compose(reps["r"], reps["s"])
+    assert composed[1] != io.fuzzy_rep_payload(meet)["grades"]  # the t-norm mattered
+
+
 def test_cli_counterexample_on_chain_reports(capsys):
     code, out = run_cli(capsys, "gen", "--kind", "counterexample", "--sizes", "2,2",
                         "--lattice", "chain3")

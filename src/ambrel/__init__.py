@@ -6,10 +6,11 @@ graded variants score the relation in a finite distributive lattice.
 The package provides the traversal duality, pseudo-inversion,
 compositions, the lattice structure on representations, capacities,
 the saturation/encoding machinery, worked geometric examples, and
-definitional oracles plus law checkers for all of it.
+definitional oracles plus law checkers for all of it.  The oracles are
+not imported with the package: ``from ambrel import oracle`` loads them.
 """
 
-from . import capacity, catalog, crisp, fuzzy, generators, hyperencoding, io, laws, oracle
+from . import capacity, catalog, crisp, fuzzy, generators, hyperencoding, io, laws
 from .capacity import (
     LCapacity,
     capacities_of,

@@ -19,7 +19,9 @@ concrete representations a statement decides one instance, and
 the statement's parameter names, plus the law's tag.  The graded suite
 runs the same statements on graded operations under each t-norm; only
 cutting through composition, which has no crisp form, is stated for it
-alone.
+alone.  Its laws share their operations: a graded trial evaluates each
+distinct ``sms``, ``compose`` and ``identity`` once, through a memo that
+lives for that one trial.
 
 :func:`check_laws` and :func:`search_law` run each crisp law in one of
 two modes.  Sampled mode draws seeded random representations with mixed
@@ -164,22 +166,45 @@ class _Reps:
 
 class _Graded:
     """Law operations on graded representations, composing under one
-    t-norm.  ``fuzzy`` is looked up at each call, as in :class:`_Reps`."""
+    t-norm.  ``fuzzy`` is looked up at each call, as in :class:`_Reps`.
+
+    ``sms``, ``compose`` and ``identity`` keep their results in ``memo``,
+    which the namespaces of one suite call share and the suite clears at
+    the start of each trial, so a trial evaluates each distinct operation
+    once and no result outlives its trial.  ``join`` and ``meet`` are one
+    table lookup each and are called directly.  A key holds values, never
+    identities: the operation, the spaces, the grade bytes and, for
+    ``compose``, the t-norm, compared as a table, so a Łukasiewicz
+    namespace whose table equals the meet's shares its entries.  The
+    spaces are needed: tables between different spaces can have the same
+    shape and bytes.  One memo serves one lattice.
+    """
 
     join = staticmethod(lambda r, s: fuzzy.join(r, s))
     meet = staticmethod(lambda r, s: fuzzy.meet(r, s))
-    sms = staticmethod(lambda r: fuzzy.sms(r))
     eq = staticmethod(operator.eq)
     payload = staticmethod(lambda rep: fuzzy_rep_payload(rep))
 
-    def __init__(self, tnorm: TNormTable):
+    def __init__(self, tnorm: TNormTable, memo: dict):
         self.tnorm = tnorm
+        self._memo = memo
+
+    def _once(self, key: tuple, op: Callable, *args):
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = op(*args)
+        return out
+
+    def sms(self, r):
+        return self._once(("sms", r.source, r.target, r.grades.tobytes()), fuzzy.sms, r)
 
     def compose(self, r, s):
-        return fuzzy.compose(r, s, self.tnorm)
+        spaces = (r.source, r.target, s.target)  # r.target is the middle space
+        key = ("compose", self.tnorm, *spaces, r.grades.tobytes(), s.grades.tobytes())
+        return self._once(key, fuzzy.compose, r, s, self.tnorm)
 
     def identity(self, space: FiniteSpace):
-        return fuzzy.identity(space, self.tnorm.lattice)
+        return self._once(("identity", space), fuzzy.identity, space, self.tnorm.lattice)
 
 
 class CrispLaw(NamedTuple):
@@ -504,18 +529,25 @@ def check_fuzzy_laws(
     the other laws run under the meet.  Every law counts every trial,
     ``instances_checked == trials``, and keeps its first witness, where
     the crisp suites count up to their first witness.
+
+    A trial evaluates each distinct ``sms``, ``compose`` and ``identity``
+    once, through a memo that lives for that trial alone (see
+    :class:`_Graded`); ``oracle.check_fuzzy_laws_per_instance``, which
+    calls ``fuzzy`` on every use, is its twin.
     """
     _require_trials(trials)
     sample = fuzzy_sampler(seed, lattice)
     tnorms: list[TNormTable] = [meet_tnorm(lattice)]
     if lattice.is_chain() and lattice.size > 1:
         tnorms.append(lukasiewicz(lattice))
-    graded = [_Graded(tn) for tn in tnorms]
+    memo: dict = {}
+    graded = [_Graded(tn, memo) for tn in tnorms]
     results = {
         name: LawResult(name, asserted=name in ASSERTED_FUZZY)
         for name in ASSERTED_FUZZY + RECORDED_FUZZY
     }
     for i in range(trials):
+        memo.clear()
         r, r2, s = sample(x, y, 3 * i), sample(x, y, 3 * i + 1), sample(y, z, 3 * i + 2)
         t = sample(z, x, -1 - i)
         arguments = {

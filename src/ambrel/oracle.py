@@ -2,11 +2,13 @@
 
 Every formula-driven operator in the package has a quantifier-literal
 re-implementation here, sharing no code with the fast paths, so that
-agreement between the two is meaningful evidence.  The crisp law suite
-is the exception: each law is stated once, in ``laws``, and its twins
+agreement between the two is meaningful evidence.  The law suites are
+the exception: each law is stated once, in ``laws``.  The crisp twins
 here check the operation tables two ways, by evaluating the statements
 one instance at a time and by filling every table entry with one
-``crisp`` call per pair of arguments.  These are used by the test suite
+``crisp`` call per pair of arguments; the graded twin runs the suite's
+trials with every operation evaluated afresh, without the memo that
+shares results within a trial.  These are used by the test suite
 and the benchmark's output checks; they make no attempt at speed.
 """
 
@@ -22,15 +24,25 @@ import numpy as np
 
 from . import crisp, fuzzy
 from .capacity import LCapacity, capacity_subgraph
-from .catalog import all_crisp_reps, chain
+from .catalog import all_crisp_reps, chain, lukasiewicz
 from .crisp import CrispAmbRep
 from .errors import LatticeTooLarge, SpaceMismatch, ValidationError
 from .fuzzy import LFuzzyAmbRep
 from .generators import GridWindow, MetricTable
 from .hyperencoding import TernaryHyperRelation
 from .hyperspace import FiniteSpace
-from .lattice import MAX_LATTICE, FiniteLattice, TNormTable
-from .laws import CRISP_LAWS, LawResult, _Grid
+from .lattice import MAX_LATTICE, FiniteLattice, TNormTable, meet_tnorm
+from .laws import (
+    ASSERTED_FUZZY,
+    CRISP_LAWS,
+    RECORDED_FUZZY,
+    _BY_NAME,
+    LawResult,
+    _cut_composition,
+    _Graded,
+    _Grid,
+    fuzzy_sampler,
+)
 
 
 def _nonempty_subsets(n: int):
@@ -322,6 +334,71 @@ class OperationTablesPerPair:
 
     def le(self, r: _Grid, s: _Grid) -> np.ndarray:
         return self._pairwise(operator.le, r, s, None) == 1
+
+
+# -- the graded law suite, without its memo -------------------------------------
+
+
+class _GradedPerUse(_Graded):
+    """``laws._Graded`` calling ``fuzzy`` on every use, with no memo."""
+
+    def __init__(self, tnorm: TNormTable):
+        self.tnorm = tnorm
+
+    def sms(self, r: LFuzzyAmbRep) -> LFuzzyAmbRep:
+        return fuzzy.sms(r)
+
+    def compose(self, r: LFuzzyAmbRep, s: LFuzzyAmbRep) -> LFuzzyAmbRep:
+        return fuzzy.compose(r, s, self.tnorm)
+
+    def identity(self, space: FiniteSpace) -> LFuzzyAmbRep:
+        return fuzzy.identity(space, self.tnorm.lattice)
+
+
+def check_fuzzy_laws_per_instance(
+    x: FiniteSpace,
+    y: FiniteSpace,
+    z: FiniteSpace,
+    lattice: FiniteLattice,
+    trials: int = 100,
+    seed: int = 0,
+) -> dict[str, LawResult]:
+    """``laws.check_fuzzy_laws`` with every operation of every law
+    evaluated afresh: the same draws, t-norms, counts and witnesses, on
+    namespaces that keep nothing between uses."""
+    sample = fuzzy_sampler(seed, lattice)
+    tnorms = [meet_tnorm(lattice)]
+    if lattice.is_chain() and lattice.size > 1:
+        tnorms.append(lukasiewicz(lattice))
+    graded = [_GradedPerUse(tn) for tn in tnorms]
+    names = ASSERTED_FUZZY + RECORDED_FUZZY
+    results = {name: LawResult(name, name in ASSERTED_FUZZY) for name in names}
+    for i in range(trials):
+        r, r2, s = sample(x, y, 3 * i), sample(x, y, 3 * i + 1), sample(y, z, 3 * i + 2)
+        t = sample(z, x, -1 - i)
+        arguments = {
+            "associativity": (r, s, t),
+            "identity": (r,),
+            "sms-join": (r, r2),
+            "sms-meet": (r, r2),
+            "anti-involution": (r,),
+            "contravariance": (r, s),
+        }
+        for name, res in results.items():
+            res.checked += 1
+            if res.witness is not None:
+                continue
+            if name == "cut-composition":
+                res.witness = _cut_composition(r, s, graded)
+            elif name in ("associativity", "identity"):
+                for ops in graded:
+                    witness = _BY_NAME[name].evaluate(*arguments[name], ops=ops)
+                    if witness is not None:
+                        res.witness = {"tnorm": ops.tnorm.name} | witness
+                        break
+            else:
+                res.witness = _BY_NAME[name].evaluate(*arguments[name], ops=graded[0])
+    return results
 
 
 # -- graded kernels, one pair at a time ------------------------------------------

@@ -1,5 +1,5 @@
 import hashlib
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -10,6 +10,7 @@ from ambrel.catalog import boolean_square, chain
 from ambrel.errors import SpaceTooLarge
 from ambrel.hyperspace import space
 from ambrel.io import crisp_rep_from
+from ambrel.lattice import meet_tnorm
 from ambrel.laws import (
     ASSERTED_CRISP,
     ASSERTED_FUZZY,
@@ -185,6 +186,99 @@ def test_sampled_fuzzy_payloads_unchanged(seed, digest):
             results = check_fuzzy_laws(*_spaces(sizes), lat, trials=20, seed=seed)
             h.update(io.dumps([res.payload() for res in results.values()]).encode())
     assert h.hexdigest() == digest
+
+
+GRADES = {"chain2": chain(2), "chain3": chain(3), "chain4": chain(4), "square": boolean_square()}
+FUZZY_TRIPLES = [*product((1, 2), repeat=3), (3, 3, 3)]
+
+
+@pytest.mark.parametrize("grades", GRADES)
+@pytest.mark.parametrize("sizes", FUZZY_TRIPLES)
+def test_fuzzy_suite_matches_per_instance_loop(sizes, grades):
+    # the per-trial memo moves no draw, count or witness.  Seeds 0-4 run
+    # at 1 and 7 trials; the one 40-trial run of a case takes its seed
+    # from the triple, so 40 trials meet every seed at a fraction of the
+    # cost of running all five
+    x, y, z = _spaces(sizes)
+    runs = [(seed, trials) for seed in range(5) for trials in (1, 7)]
+    runs.append((FUZZY_TRIPLES.index(sizes) % 5, 40))
+    for seed, trials in runs:
+        got = check_fuzzy_laws(x, y, z, GRADES[grades], trials=trials, seed=seed)
+        want = oracle.check_fuzzy_laws_per_instance(x, y, z, GRADES[grades], trials, seed)
+        assert {name: res.payload() for name, res in got.items()} == {
+            name: res.payload() for name, res in want.items()
+        }, (seed, trials)
+
+
+def _log_graded_calls(monkeypatch) -> list[list[tuple]]:
+    """Rebind ``fuzzy.sms`` and ``fuzzy.compose`` with wrappers that log
+    each call by value, one list per trial; a trial opens at its first
+    draw, sampler index ``3i``."""
+    trials: list[list[tuple]] = []
+
+    def sampler(seed, lattice, fuzzy_sampler=laws.fuzzy_sampler):
+        sample = fuzzy_sampler(seed, lattice)
+
+        def draw(source, target, i):
+            if i >= 0 and i % 3 == 0:
+                trials.append([])
+            return sample(source, target, i)
+
+        return draw
+
+    def logged(*args, name, fn):
+        key = tuple(
+            (a.source, a.target, a.grades.tobytes()) if isinstance(a, fuzzy.LFuzzyAmbRep) else a
+            for a in args
+        )
+        trials[-1].append((name, *key))
+        return fn(*args)
+
+    for module in (laws, oracle):
+        monkeypatch.setattr(module, "fuzzy_sampler", sampler)
+    for name in ("sms", "compose"):
+        monkeypatch.setattr(fuzzy, name, partial(logged, name=name, fn=getattr(fuzzy, name)))
+    return trials
+
+
+@pytest.mark.parametrize("grades", ["chain2", "chain3", "square"])
+def test_graded_suite_evaluates_each_operation_once_per_trial(monkeypatch, grades, x2, y2, z2):
+    log = _log_graded_calls(monkeypatch)
+    want = oracle.check_fuzzy_laws_per_instance(x2, y2, z2, GRADES[grades], trials=6, seed=3)
+    distinct = [set(trial) for trial in log]
+    # without the memo, some operation runs twice within a trial
+    assert any(len(ops) < len(trial) for ops, trial in zip(distinct, log))
+    # twice, so that a result kept past its call would show
+    for _ in range(2):
+        log.clear()
+        got = check_fuzzy_laws(x2, y2, z2, GRADES[grades], trials=6, seed=3)
+        assert got == want
+        # the rebound functions see each distinct operation of a trial once
+        assert [set(trial) for trial in log] == distinct
+        assert [len(trial) for trial in log] == [len(ops) for ops in distinct]
+
+
+def test_lukasiewicz_shares_the_meets_compositions_on_chain2(monkeypatch, x2, y2, z2):
+    # on two grades Łukasiewicz is the meet's table, so its namespace
+    # finds every composition already made
+    log = _log_graded_calls(monkeypatch)
+    for grades, names in (("chain2", {"meet"}), ("chain3", {"meet", "lukasiewicz"})):
+        log.clear()
+        check_fuzzy_laws(x2, y2, z2, GRADES[grades], trials=4, seed=0)
+        tnorms = {call[-1].name for trial in log for call in trial if call[0] == "compose"}
+        assert tnorms == names, grades
+
+
+def test_graded_memo_keys_hold_the_spaces(x2, y2, z2):
+    # X -> Y and Y -> Z tables have one shape at 2,2,2 and can hold the
+    # same grade bytes; their pseudo-inverses differ in their spaces
+    lat = chain(3)
+    r = laws.fuzzy_sampler(0, lat)(x2, y2, 0)
+    s = fuzzy.LFuzzyAmbRep(y2, z2, lat, r.grades)
+    ops = laws._Graded(meet_tnorm(lat), {})
+    assert ops.sms(r) == fuzzy.sms(r)
+    assert ops.sms(s) == fuzzy.sms(s)
+    assert (ops.sms(s).source, ops.sms(s).target) == (z2, y2)
 
 
 def test_exhaustive_gate_in_python_api(x3, y2, z2):

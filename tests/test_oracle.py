@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ambrel import crisp, fuzzy
@@ -104,3 +109,18 @@ def test_distributive_lattice_enumeration_found_shapes():
     sizes = sorted(lat.size for lat in all_distributive_lattices(5))
     # one shape each at sizes 1-3, two at 4 (chain, square), three at 5
     assert sizes == [1, 2, 3, 4, 4, 5, 5, 5]
+
+
+def test_import_ambrel_leaves_the_twins_unloaded():
+    # the twins serve tests and the benchmark's checks, so a CLI process
+    # never pays for them; importing them by name still works
+    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = (
+        "import sys, ambrel; assert 'ambrel.oracle' not in sys.modules; "
+        "from ambrel import oracle; assert callable(oracle.sms_definitional)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

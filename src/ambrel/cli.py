@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import crisp, fuzzy, generators, io
 from .capacity import capacity_of
@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .hyperencoding import encode
-from .hyperspace import FiniteSpace
+from .hyperspace import FiniteSpace, gate_points
 from .catalog import boolean_square, chain, lukasiewicz
 from .lattice import meet_tnorm
 from .laws import SEARCHABLE, check_fuzzy_laws, check_laws, search_law
@@ -41,6 +41,19 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+def _text(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expects a nonempty value")
+    return text
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects integers like 2,2,2, not {text!r}") from None
+
+
 def _trials(text: str) -> int:
     # a count below 1 would report "holds" over no instances at all
     try:
@@ -52,28 +65,54 @@ def _trials(text: str) -> int:
     return trials
 
 
+def _density(text: str) -> float:
+    density = float(text)
+    if not 0.0 <= density <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], not {text}")
+    return density
+
+
+# the --sizes entries each gen kind reads; unset, every entry is 2
+_GEN_ENTRIES = {
+    "identity": 1, "top": 2, "bot": 2, "random": 2, "random-fuzzy": 2,
+    "metric": 1, "translation": 4, "projection": 4, "counterexample": 2,
+}
+
+# Each flag's type, default and accepted values, written once; a verb
+# lists the flags it reads.  --trials, --seed, --lattice and --tnorm, and
+# gen's --sizes, are None when unset: what they stand for then depends on
+# other flags or input (_sampling, _resolve_tnorm, laws and _run_gen).
+_FLAGS = {
+    "--rep": {"type": _text, "required": True},
+    "--rep2": {"type": _text, "required": True},
+    "--alpha": {"type": _text, "required": True},
+    "--set": {"type": _text, "required": True},
+    "--tnorm": {"type": _text},
+    "--lattice": {"type": _text},
+    "--out": {"type": _text},
+    "--suite": {"choices": ("crisp", "fuzzy"), "default": "crisp"},
+    "--law": {"choices": SEARCHABLE, "required": True},
+    "--kind": {"choices": tuple(_GEN_ENTRIES), "required": True},
+    "--sizes": {"type": _sizes, "default": (2, 2, 2)},
+    "--trials": {"type": _trials},
+    "--seed": {"type": int},
+    "--density": {"type": _density, "default": 0.3},
+    "--exhaustive": {"action": "store_true"},
+}
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     # built once: parse_args fills a fresh namespace on every call
     p = _Parser(prog="ambrel", description=__doc__)
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def add(name, *flags):
+    def add(name, *flags, **differs):
         sp = sub.add_parser(name)
         for flag in flags:
-            if flag == "--exhaustive":
-                sp.add_argument(flag, action="store_true")
-            elif flag == "--trials":
-                sp.add_argument(flag, type=_trials)  # unset is None: see _sampling
-            elif flag == "--seed":
-                sp.add_argument(flag, type=int, default=0 if name == "gen" else None)
-            elif flag == "--density":
-                sp.add_argument(flag, type=float, default=0.3)
-            else:
-                sp.add_argument(flag)
-        return sp
+            sp.add_argument(flag, **_FLAGS[flag] | differs.get(flag[2:], {}))
 
-    add("validate", "--rep", "--lattice", "--out")
+    add("validate", "--rep", "--lattice", "--out", rep={"required": False})
     add("sms", "--rep", "--out")
     add("compose", "--rep", "--rep2", "--tnorm", "--out")
     add("cut", "--rep", "--alpha", "--out")
@@ -81,7 +120,8 @@ def _build_parser() -> _Parser:
     add("meet", "--rep", "--rep2", "--out")
     add("capacity", "--rep", "--set", "--out")
     add("unavoidable", "--rep", "--set", "--out")
-    add("gen", "--kind", "--sizes", "--seed", "--density", "--lattice", "--out")
+    add("gen", "--kind", "--sizes", "--seed", "--density", "--lattice", "--out",
+        sizes={"default": None}, seed={"default": 0})
     add("encode", "--rep", "--out")
     add("laws", "--suite", "--sizes", "--trials", "--seed", "--exhaustive", "--lattice", "--out")
     add("search", "--law", "--sizes", "--trials", "--seed", "--exhaustive", "--out")
@@ -90,7 +130,7 @@ def _build_parser() -> _Parser:
 
 def _emit(args, payload) -> None:
     text = io.dumps(payload)
-    if getattr(args, "out", None):
+    if args.out is not None:
         # the file first: a path that cannot be written leaves stdout empty
         try:
             with open(args.out, "w") as fh:
@@ -107,57 +147,44 @@ def _sampling(args) -> tuple[int, int]:
         for flag in ("--trials", "--seed"):
             if getattr(args, flag[2:]) is not None:
                 raise MalformedInput(f"{flag} applies to sampled runs, not --exhaustive")
-    return (200 if args.trials is None else args.trials), (args.seed or 0)
+    return (200 if args.trials is None else args.trials), (0 if args.seed is None else args.seed)
 
 
-def _load_rep(path: str | None):
-    if not path:
-        raise MalformedInput("this verb needs a representation file (--rep, --rep2)")
+def _load_rep(path: str):
     payload = io.load_path(path)
     if io.is_fuzzy_payload(payload):
-        rep, tn = io.fuzzy_rep_from(payload)
-        return rep, tn
+        return io.fuzzy_rep_from(payload)
     return io.crisp_rep_from(payload), None
 
 
-def _ints(sizes: str) -> list[int]:
-    try:
-        return [int(s) for s in sizes.split(",")]
-    except (AttributeError, ValueError):
-        raise MalformedInput("--sizes expects a comma list like 2,2,2") from None
+def _entries(sizes: tuple[int, ...], how_many: int) -> tuple[int, ...]:
+    if len(sizes) != how_many:
+        raise MalformedInput(f"--sizes needs {how_many} entries here, not {len(sizes)}")
+    return sizes
 
 
-def _density(args) -> float:
-    if not 0.0 <= args.density <= 1.0:
-        raise MalformedInput("--density must lie in [0, 1]")
-    return args.density
-
-
-def _spaces(sizes: str, how_many: int) -> list[FiniteSpace]:
-    parts = _ints(sizes)
-    if len(parts) != how_many:
-        raise MalformedInput(f"--sizes needs {how_many} entries here")
-    names = ["x", "y", "z", "w"]
+def _spaces(sizes: tuple[int, ...]) -> list[FiniteSpace]:
+    # each count passes the gate before its labels are built
     return [
-        FiniteSpace(tuple(f"{names[k]}{i + 1}" for i in range(n))) for k, n in enumerate(parts)
+        FiniteSpace(tuple(f"{name}{i + 1}" for i in range(gate_points(n))))
+        for name, n in zip("xyzw", sizes)
     ]
 
 
-def _named_lattice(name: str | None):
-    if name in (None, "", "chain3"):
-        return chain(3)
-    if name == "chain2":
-        return chain(2)
-    if name == "chain4":
-        return chain(4)
-    if name == "square":
-        return boolean_square()
+_LATTICES = {"chain2": partial(chain, 2), "chain3": partial(chain, 3), "chain4": partial(chain, 4),
+             "square": boolean_square}
+
+
+def _named_lattice(name: str):
+    """A lattice by its name in :data:`_LATTICES`, or read from a file."""
+    if name in _LATTICES:
+        return _LATTICES[name]()
     lat, _ = io.lattice_from(io.load_path(name))
     return lat
 
 
 def _resolve_tnorm(spec_str, lattice, embedded):
-    if spec_str in (None, "", "meet"):
+    if spec_str in (None, "meet"):
         return embedded or meet_tnorm(lattice)
     if spec_str == "lukasiewicz":
         return lukasiewicz(lattice)
@@ -171,19 +198,15 @@ def _resolve_tnorm(spec_str, lattice, embedded):
 
 def _run(args) -> int:
     if args.verb == "validate":
-        if args.lattice:
-            lat, tn = io.lattice_from(io.load_path(args.lattice))
+        if args.lattice is not None:
+            lat, _ = io.lattice_from(io.load_path(args.lattice))
             _emit(args, {"verdict": "valid", "kind": "lattice", "elements": list(lat.elements)})
             return 0
-        if not args.rep:
+        if args.rep is None:
             raise MalformedInput("validate needs --rep or --lattice")
-        payload = io.load_path(args.rep)
-        if io.is_fuzzy_payload(payload):
-            io.fuzzy_rep_from(payload)
-            _emit(args, {"verdict": "valid", "kind": "fuzzy"})
-        else:
-            io.crisp_rep_from(payload)
-            _emit(args, {"verdict": "valid", "kind": "crisp"})
+        rep, _ = _load_rep(args.rep)
+        kind = "fuzzy" if isinstance(rep, fuzzy.LFuzzyAmbRep) else "crisp"
+        _emit(args, {"verdict": "valid", "kind": kind})
         return 0
 
     if args.verb == "sms":
@@ -221,8 +244,6 @@ def _run(args) -> int:
         rep, _ = _load_rep(args.rep)
         if not isinstance(rep, fuzzy.LFuzzyAmbRep):
             raise MalformedInput("cut applies to graded representations")
-        if args.alpha is None:
-            raise MalformedInput("cut needs --alpha")
         try:
             alpha = rep.lattice.index(args.alpha)
         except KeyError as e:
@@ -258,22 +279,18 @@ def _run(args) -> int:
         return 0
 
     if args.verb == "laws":
-        suite = args.suite or "crisp"
-        if suite == "crisp":
-            if args.lattice:
-                raise MalformedInput("--lattice applies to the fuzzy suite only")
-            trials, seed = _sampling(args)
-            x, y, z = _spaces(args.sizes or "2,2,2", 3)
+        if args.suite == "crisp" and args.lattice is not None:
+            raise MalformedInput("--lattice applies to the fuzzy suite only")
+        if args.suite == "fuzzy" and args.exhaustive:
+            raise MalformedInput("--exhaustive applies to the crisp suite only")
+        trials, seed = _sampling(args)
+        x, y, z = _spaces(_entries(args.sizes, 3))
+        if args.suite == "crisp":
             results = check_laws(x, y, z, trials=trials, exhaustive=args.exhaustive, seed=seed)
-        elif suite == "fuzzy":
-            if args.exhaustive:
-                raise MalformedInput("--exhaustive applies to the crisp suite only")
-            trials, seed = _sampling(args)
-            x, y, z = _spaces(args.sizes or "2,2,2", 3)
-            results = check_fuzzy_laws(x, y, z, _named_lattice(args.lattice), trials, seed)
         else:
-            raise MalformedInput("--suite must be crisp or fuzzy")
-        payload = {"suite": suite, "laws": [r.payload() for r in results.values()]}
+            lat = _named_lattice(args.lattice or "chain3")
+            results = check_fuzzy_laws(x, y, z, lat, trials, seed)
+        payload = {"suite": args.suite, "laws": [r.payload() for r in results.values()]}
         broken = [r.law for r in results.values() if r.asserted and not r.holds]
         payload["asserted_violations"] = broken
         _emit(args, payload)
@@ -283,10 +300,8 @@ def _run(args) -> int:
         return 2 if broken else 0
 
     if args.verb == "search":
-        if args.law not in SEARCHABLE:
-            raise MalformedInput(f"--law must be one of {', '.join(SEARCHABLE)}")
         trials, seed = _sampling(args)
-        x, y, z = _spaces(args.sizes or "2,2,2", 3)
+        x, y, z = _spaces(_entries(args.sizes, 3))
         verdict = search_law(
             args.law, x, y, z, exhaustive=args.exhaustive, trials=trials, seed=seed
         )
@@ -294,12 +309,8 @@ def _run(args) -> int:
         print(f"{args.law}: {verdict['verdict']}", file=sys.stderr)
         return 2 if verdict["verdict"] == "counterexample" else 0
 
-    raise MalformedInput(f"unknown verb {args.verb}")
 
-
-def _parse_set(space: FiniteSpace, text: str | None) -> int:
-    if not text:
-        raise MalformedInput("--set expects a comma list of point labels")
+def _parse_set(space: FiniteSpace, text: str) -> int:
     try:
         return space.subset([t.strip() for t in text.split(",")])
     except KeyError as e:
@@ -307,61 +318,36 @@ def _parse_set(space: FiniteSpace, text: str | None) -> int:
 
 
 def _run_gen(args) -> int:
-    kind = args.kind or ""
-    sizes = args.sizes or "2,2"
-    if kind in ("identity", "top", "bot"):
-        (x,) = _spaces(sizes.split(",")[0], 1)
-        if kind == "identity":
-            rep = crisp.identity(x)
-        else:
-            x, y = _spaces(sizes, 2)
-            rep = (crisp.top if kind == "top" else crisp.bot)(x, y)
-        _emit(args, io.crisp_rep_payload(rep))
-        return 0
-    if kind == "random":
-        x, y = _spaces(sizes, 2)
-        _emit(args, io.crisp_rep_payload(generators.random_rep(x, y, args.seed, _density(args))))
-        return 0
-    if kind == "random-fuzzy":
-        x, y = _spaces(sizes, 2)
-        lat = _named_lattice(args.lattice)
-        rep = generators.random_fuzzy_rep(x, y, lat, args.seed, _density(args))
-        _emit(args, io.fuzzy_rep_payload(rep))
-        return 0
-    if kind == "metric":
-        n = _ints(sizes)[0]
-        lat = _named_lattice(args.lattice)
-        rep = generators.metric_rep(generators.line_metric(n), lat)
-        _emit(args, io.fuzzy_rep_payload(rep))
-        return 0
+    kind, entries = args.kind, _GEN_ENTRIES[args.kind]
+    sizes = _entries((2,) * entries if args.sizes is None else args.sizes, entries)
+    # a counterexample needs incomparable grades
+    lattice = args.lattice or ("square" if kind == "counterexample" else "chain3")
     if kind in ("translation", "projection"):
-        parts = _ints(sizes)
-        if len(parts) != 4:
-            raise MalformedInput("grid kinds need --sizes w,h,W,H")
-        w, h, ow, oh = parts
-        window = generators.GridWindow(ow, oh, w, h)
-        if kind == "translation":
-            _emit(args, io.fuzzy_rep_payload(generators.translation_rep(window)))
-        else:
-            _emit(args, io.crisp_rep_payload(generators.projection_rep(window)))
-        return 0
-    if kind == "counterexample":
-        x, y = _spaces(sizes, 2)
-        lat = _named_lattice(args.lattice or "square")
-        rf, sf, witness = fuzzy.union_counterexample(x, y, lat)
-        _emit(
-            args,
-            {
-                "r": io.fuzzy_rep_payload(rf),
-                "s": io.fuzzy_rep_payload(sf),
-                "witness": witness,
-            },
-        )
-        return 0
-    raise MalformedInput(
-        "gen --kind must be one of identity, top, bot, random, random-fuzzy, "
-        "metric, translation, projection, counterexample"
-    )
+        w, h, ow, oh = sizes
+        build = generators.translation_rep if kind == "translation" else generators.projection_rep
+        rep = build(generators.GridWindow(ow, oh, w, h))
+    elif kind == "metric":
+        lat = _named_lattice(lattice)
+        rep = generators.metric_rep(generators.line_metric(*sizes), lat)
+    else:
+        spaces = _spaces(sizes)
+        if kind == "identity":
+            rep = crisp.identity(*spaces)
+        elif kind in ("top", "bot"):
+            rep = (crisp.top if kind == "top" else crisp.bot)(*spaces)
+        elif kind == "random":
+            rep = generators.random_rep(*spaces, args.seed, args.density)
+        elif kind == "random-fuzzy":
+            lat = _named_lattice(lattice)
+            rep = generators.random_fuzzy_rep(*spaces, lat, args.seed, args.density)
+        else:  # counterexample
+            rf, sf, witness = fuzzy.union_counterexample(*spaces, _named_lattice(lattice))
+            payload = {"r": io.fuzzy_rep_payload(rf), "s": io.fuzzy_rep_payload(sf)}
+            _emit(args, payload | {"witness": witness})
+            return 0
+    write = io.fuzzy_rep_payload if isinstance(rep, fuzzy.LFuzzyAmbRep) else io.crisp_rep_payload
+    _emit(args, write(rep))
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

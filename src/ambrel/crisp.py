@@ -358,7 +358,10 @@ def lower_approx(space: FiniteSpace, partition, a: int) -> int:
 
 def rough_rep(space: FiniteSpace, partition) -> CrispAmbRep:
     """Indiscernibility representation: ``(A, B)`` related iff the upper
-    approximation of ``A`` is contained in the upper approximation of ``B``."""
-    uppers = np.array([upper_approx(space, partition, a) for a in space.subsets()])
+    approximation of ``A`` is contained in the upper approximation of ``B``.
+    The partition is checked once; each upper approximation is then the
+    union of the blocks meeting ``A``, as in :func:`upper_approx`."""
+    blocks = _class_masks(space, partition)
+    uppers = np.array([sum(m for m in blocks if m & a) for a in space.subsets()])
     rows = _pack(uppers[:, None] & ~uppers[None, :] == 0, space)
     return CrispAmbRep(space, space, tuple(rows.tolist()))

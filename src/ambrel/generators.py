@@ -21,7 +21,7 @@ from .capacity import LCapacity
 from .crisp import CrispAmbRep
 from .errors import ValidationError
 from .fuzzy import LFuzzyAmbRep
-from .hyperspace import FiniteSpace, _pack
+from .hyperspace import FiniteSpace, _pack, gate_points
 from .lattice import FiniteLattice, _levels
 from .catalog import chain
 
@@ -78,7 +78,7 @@ def metric_table(points: Sequence[str], dist) -> MetricTable:
 
 def line_metric(n: int) -> MetricTable:
     """n points on a line at unit spacing."""
-    pts = [f"p{i}" for i in range(n)]
+    pts = [f"p{i}" for i in range(gate_points(n))]
     return metric_table(pts, [[abs(i - j) for j in range(n)] for i in range(n)])
 
 

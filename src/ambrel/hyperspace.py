@@ -26,6 +26,17 @@ from .errors import ValidationError
 MAX_POINTS = 6
 
 
+def gate_points(n: int) -> int:
+    """``n``, once ``n`` points pass the size gate; ``SpaceTooLarge`` if not.
+
+    A caller that builds anything of ``n`` points from a bare count calls
+    this first, so an oversized count is refused before it allocates.
+    """
+    if n > MAX_POINTS:
+        raise ValidationError("SpaceTooLarge", f"at most {MAX_POINTS} points supported, got {n}")
+    return n
+
+
 @dataclass(frozen=True, order=True)
 class FiniteSpace:
     """A finite universe of labelled points."""
@@ -37,11 +48,7 @@ class FiniteSpace:
             raise ValidationError("EmptySpace", "a space needs at least one point")
         if len(set(self.points)) != len(self.points):
             raise ValidationError("DuplicatePoint", f"duplicate labels in {self.points}")
-        if len(self.points) > MAX_POINTS:
-            raise ValidationError(
-                "SpaceTooLarge",
-                f"at most {MAX_POINTS} points supported, got {len(self.points)}",
-            )
+        gate_points(len(self.points))
 
     @property
     def size(self) -> int:

@@ -303,9 +303,25 @@ def dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _object(pairs: list) -> dict:
+    # json.loads would keep the last of two equal keys and drop the first
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
+def _constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_object, parse_constant=_constant)
+
+
 def loads(text: str):
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except (ValueError, RecursionError) as e:  # also over-long integers and deep nesting
         raise MalformedInput(f"not valid JSON: {e}") from None
 

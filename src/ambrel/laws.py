@@ -168,16 +168,13 @@ class _Graded:
     """Law operations on graded representations, composing under one
     t-norm.  ``fuzzy`` is looked up at each call, as in :class:`_Reps`.
 
-    ``sms``, ``compose`` and ``identity`` keep their results in ``memo``,
-    which the namespaces of one suite call share and the suite clears at
-    the start of each trial, so a trial evaluates each distinct operation
-    once and no result outlives its trial.  ``join`` and ``meet`` are one
-    table lookup each and are called directly.  A key holds values, never
-    identities: the operation, the spaces, the grade bytes and, for
-    ``compose``, the t-norm, compared as a table, so a Łukasiewicz
-    namespace whose table equals the meet's shares its entries.  The
-    spaces are needed: tables between different spaces can have the same
-    shape and bytes.  One memo serves one lattice.
+    ``sms``, ``compose`` and ``identity`` keep their results in the
+    namespace's own memo.  The suite builds its namespaces afresh for each
+    trial, so a trial evaluates each distinct operation once and no result
+    outlives its trial.  ``join`` and ``meet`` are one table lookup each
+    and are called directly.  A key holds values, never identities: the
+    operation, the spaces and the grade bytes.  The spaces are needed:
+    tables between different spaces can have the same shape and bytes.
     """
 
     join = staticmethod(lambda r, s: fuzzy.join(r, s))
@@ -185,9 +182,9 @@ class _Graded:
     eq = staticmethod(operator.eq)
     payload = staticmethod(lambda rep: fuzzy_rep_payload(rep))
 
-    def __init__(self, tnorm: TNormTable, memo: dict):
+    def __init__(self, tnorm: TNormTable):
         self.tnorm = tnorm
-        self._memo = memo
+        self._memo: dict = {}
 
     def _once(self, key: tuple, op: Callable, *args):
         out = self._memo.get(key)
@@ -200,7 +197,7 @@ class _Graded:
 
     def compose(self, r, s):
         spaces = (r.source, r.target, s.target)  # r.target is the middle space
-        key = ("compose", self.tnorm, *spaces, r.grades.tobytes(), s.grades.tobytes())
+        key = ("compose", *spaces, r.grades.tobytes(), s.grades.tobytes())
         return self._once(key, fuzzy.compose, r, s, self.tnorm)
 
     def identity(self, space: FiniteSpace):
@@ -531,23 +528,24 @@ def check_fuzzy_laws(
     the crisp suites count up to their first witness.
 
     A trial evaluates each distinct ``sms``, ``compose`` and ``identity``
-    once, through a memo that lives for that trial alone (see
-    :class:`_Graded`); ``oracle.check_fuzzy_laws_per_instance``, which
-    calls ``fuzzy`` on every use, is its twin.
+    once, through namespaces built for that trial alone (see
+    :class:`_Graded`).  Łukasiewicz runs on chains of three or more
+    grades, where its table differs from the meet's; on two it is the
+    meet's table, which fails nowhere the meet passes.
+    ``oracle.check_fuzzy_laws_per_instance``, which calls ``fuzzy`` on
+    every use and runs both tables on every chain, is its twin.
     """
     _require_trials(trials)
     sample = fuzzy_sampler(seed, lattice)
     tnorms: list[TNormTable] = [meet_tnorm(lattice)]
-    if lattice.is_chain() and lattice.size > 1:
+    if lattice.is_chain() and lattice.size > 2:  # on two grades Łukasiewicz is the meet
         tnorms.append(lukasiewicz(lattice))
-    memo: dict = {}
-    graded = [_Graded(tn, memo) for tn in tnorms]
     results = {
         name: LawResult(name, asserted=name in ASSERTED_FUZZY)
         for name in ASSERTED_FUZZY + RECORDED_FUZZY
     }
     for i in range(trials):
-        memo.clear()
+        graded = [_Graded(tn) for tn in tnorms]
         r, r2, s = sample(x, y, 3 * i), sample(x, y, 3 * i + 1), sample(y, z, 3 * i + 2)
         t = sample(z, x, -1 - i)
         arguments = {

@@ -187,6 +187,29 @@ def test_rough_rep_examples():
     assert crisp.rough_rep(X, singletons) == crisp.identity(X)
 
 
+def test_rough_rep_checks_the_partition_once(monkeypatch):
+    # the blocks are parsed and checked once per call, not once per source
+    # subset, and the relation is still "upper(A) within upper(B)"
+    X = space("1", "2", "3", "4")
+    checked = []
+
+    def counted(sp, partition, class_masks=crisp._class_masks):
+        checked.append(partition)
+        return class_masks(sp, partition)
+
+    monkeypatch.setattr(crisp, "_class_masks", counted)
+    for partition in all_partitions(X.points):
+        checked.clear()
+        R = crisp.rough_rep(X, partition)
+        assert len(checked) == 1
+        upper = {a: crisp.upper_approx(X, partition, a) for a in X.subsets()}
+        for a in X.subsets():
+            assert R.rows[a - 1] == family_of(b for b in X.subsets() if upper[a] & ~upper[b] == 0)
+    for bad in ((("1", "2"), ("2", "3", "4")), (("1",), ("2",)), (("1", "2", "3", "4"), ())):
+        with pytest.raises(ValidationError, match="blocks"):
+            crisp.rough_rep(X, bad)
+
+
 def test_rough_unavoidability_equivalence():
     X = space("1", "2", "3", "4")
     for partition in all_partitions(X.points):

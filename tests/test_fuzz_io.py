@@ -9,8 +9,9 @@ written to a file, to ``cli.main(["validate", ...])``.  Every outcome
 must be a value, a ``ValidationError`` (exit 1) or ``MalformedInput``,
 ``SpaceMismatch`` or ``SpaceTooLarge`` (exit 3), never a traceback, and
 every accepted payload must come back byte-identically through its
-writer.  Examples are derandomized, so a run
-is reproducible.
+writer.  Texts that repeat a key within one object, or that hold a
+``NaN`` or ``Infinity`` constant, must end in ``MalformedInput``.
+Examples are derandomized, so a run is reproducible.
 """
 
 from __future__ import annotations
@@ -213,3 +214,85 @@ def test_hostile_files_exit_three(workdir, raw):
     path.write_bytes(raw)
     assert _validate(str(path), "crisp") == (3, "")
     assert _validate(str(path), "lattice") == (3, "")
+
+
+def _dumps_with(node, path, write) -> str:
+    """JSON text of ``node`` with the node at ``path`` written by ``write``."""
+    if not path:
+        return write(node)
+    head, rest = path[0], path[1:]
+    if isinstance(node, dict):
+        items = (
+            json.dumps(k) + ":" + (_dumps_with(v, rest, write) if k == head else json.dumps(v))
+            for k, v in node.items()
+        )
+        return "{" + ",".join(items) + "}"
+    return "[" + ",".join(
+        _dumps_with(v, rest, write) if i == head else json.dumps(v) for i, v in enumerate(node)
+    ) + "]"
+
+
+@pytest.mark.parametrize("kind", ["crisp", "fuzzy", "capacity", "hyper", "lattice"])
+def test_repeated_keys_exit_three(kind, workdir):
+    # json.loads would keep the last of two equal keys; the reader refuses both
+    path = workdir / f"repeated-{kind}.json"
+
+    @FUZZ
+    @given(st.data())
+    def check(data):
+        payload = _valid(kind, data.draw(st.integers(0, 11)))
+        objects = [p for p in _paths(payload) if isinstance(node := _get(payload, p), dict) and node]
+        at = data.draw(st.sampled_from(objects))
+        key = data.draw(st.sampled_from(sorted(_get(payload, at))))
+        extra = json.dumps(key) + ":" + json.dumps(data.draw(json_values))
+        before = data.draw(st.booleans())
+
+        def repeat(obj):
+            items = [json.dumps(k) + ":" + json.dumps(v) for k, v in obj.items()]
+            return "{" + ",".join([extra, *items] if before else [*items, extra]) + "}"
+
+        text = _dumps_with(payload, at, repeat)
+        with pytest.raises(MalformedInput, match="repeated key"):
+            io.loads(text)
+        path.write_text(text)
+        assert _validate(str(path), kind) == (3, "")
+
+    check()
+
+
+@pytest.mark.parametrize("kind", ["crisp", "fuzzy", "capacity", "hyper", "lattice"])
+def test_non_finite_constants_exit_three(kind, workdir):
+    # NaN, Infinity and -Infinity are not JSON, though json.loads reads them
+    path = workdir / f"non-finite-{kind}.json"
+
+    @FUZZ
+    @given(st.data())
+    def check(data):
+        payload = _valid(kind, data.draw(st.integers(0, 11)))
+        at = data.draw(st.sampled_from(list(_paths(payload))))
+        constant = data.draw(st.sampled_from(["NaN", "Infinity", "-Infinity"]))
+        text = _dumps_with(payload, at, lambda _: constant)
+        with pytest.raises(MalformedInput, match="not a JSON number"):
+            io.loads(text)
+        path.write_text(text)
+        assert _validate(str(path), kind) == (3, "")
+
+    check()
+
+
+def test_a_repeated_key_is_refused_not_read_as_its_last_value(workdir):
+    # a first "pairs" naming an unknown point, then a valid one; a lattice
+    # whose "tnorm" is null and then a table
+    X, Y = _spaces(2, 1)
+    crisp = io.crisp_rep_payload(random_rep(X, Y, 0, 0.3))
+    head = '{"source":["x1","x2"],"target":["y1"],"pairs":[[["zz"],["y1"]]],'
+    lat = io.lattice_payload(chain(3), meet_tnorm(chain(3)))
+    cases = [
+        ("crisp", head + '"pairs":' + json.dumps(crisp["pairs"]) + "}"),
+        ("lattice", '{"elements":%s,"leq":%s,"tnorm":null,"tnorm":%s}'
+         % tuple(json.dumps(lat[k]) for k in ("elements", "leq", "tnorm"))),
+    ]
+    for kind, text in cases:
+        path = workdir / f"repeated-{kind}.json"
+        path.write_text(text)
+        assert _validate(str(path), kind) == (3, "")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -713,3 +717,80 @@ def test_cli_cached_parser_recovers_from_errors(capsys):
     assert run_cli(capsys, "gen", "--bogus") == (3, "")
     assert run_cli(capsys, *argv, "--seed", "9", "--density", "0.9")[0] == 0
     assert run_cli(capsys, *argv) == (0, out)  # defaults, not the last call's values
+
+
+# -- flags: the parser decides what each one accepts ---------------------------
+
+
+def _value_flags():
+    """(verb, flag) for every flag of every verb that takes a value."""
+    verbs = next(a for a in cli._build_parser()._actions if a.dest == "verb").choices
+    return [
+        (verb, action.option_strings[0])
+        for verb, sub in verbs.items()
+        for action in sub._actions
+        if action.option_strings and action.nargs != 0
+    ]
+
+
+def test_cli_every_empty_flag_value_exits_three_naming_the_flag(capsys):
+    pairs = _value_flags()
+    assert ("gen", "--kind") in pairs and ("laws", "--sizes") in pairs and ("sms", "--out") in pairs
+    for verb, flag in pairs:
+        assert main([verb, flag, ""]) == 3, (verb, flag)
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err, (verb, flag)
+
+
+def test_cli_gen_kinds_read_exactly_their_sizes_entries(capsys):
+    # each kind reads its own number of --sizes entries, each 2 when unset;
+    # one more, one fewer or one that is not an integer exits 3
+    for kind, entries in cli._GEN_ENTRIES.items():
+        fit = run_cli(capsys, "gen", "--kind", kind, "--sizes", ",".join(["2"] * entries))
+        assert fit[0] == 0, kind
+        assert run_cli(capsys, "gen", "--kind", kind) == fit, kind
+        for wrong in (["2"] * (entries - 1), ["2"] * (entries + 1), ["2"] * (entries - 1) + ["x"]):
+            if wrong:
+                assert main(["gen", "--kind", kind, "--sizes", ",".join(wrong)]) == 3, (kind, wrong)
+                captured = capsys.readouterr()
+                assert captured.out == "" and "--sizes" in captured.err, (kind, wrong)
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("laws", "--sizes", f"{HUGE},1,1", "--trials", "1"),
+        ("laws", "--suite", "fuzzy", "--sizes", f"1,{HUGE},1", "--trials", "1"),
+        ("search", "--law", "modular", "--sizes", f"1,1,{HUGE}", "--exhaustive"),
+        ("gen", "--kind", "random", "--sizes", f"2,{HUGE}"),
+        ("gen", "--kind", "metric", "--sizes", HUGE),
+    ],
+)
+def test_cli_oversized_counts_are_refused_before_allocating(argv):
+    # run under an address-space limit with a timeout, so a count that is
+    # allocated before its gate fails this test rather than the machine
+    limit = 512 << 20
+    code = (
+        "import resource, sys; "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+        "from ambrel.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    # one BLAS thread, so that numpy imports under the limit
+    env |= {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 1, done.stderr
+    # the report a count of 7 gets, with the count as given
+    assert json.loads(done.stdout) == {
+        "verdict": "invalid",
+        "error": "SpaceTooLarge",
+        "witness": None,
+        "detail": f"at most 6 points supported, got {HUGE}",
+    }

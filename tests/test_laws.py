@@ -258,9 +258,9 @@ def test_graded_suite_evaluates_each_operation_once_per_trial(monkeypatch, grade
         assert [len(trial) for trial in log] == [len(ops) for ops in distinct]
 
 
-def test_lukasiewicz_shares_the_meets_compositions_on_chain2(monkeypatch, x2, y2, z2):
-    # on two grades Łukasiewicz is the meet's table, so its namespace
-    # finds every composition already made
+def test_chain2_composes_under_the_meet_alone(monkeypatch, x2, y2, z2):
+    # on two grades Łukasiewicz is the meet's table, so every composition
+    # on chain2 is made under the meet; chain3 composes under both
     log = _log_graded_calls(monkeypatch)
     for grades, names in (("chain2", {"meet"}), ("chain3", {"meet", "lukasiewicz"})):
         log.clear()
@@ -275,10 +275,28 @@ def test_graded_memo_keys_hold_the_spaces(x2, y2, z2):
     lat = chain(3)
     r = laws.fuzzy_sampler(0, lat)(x2, y2, 0)
     s = fuzzy.LFuzzyAmbRep(y2, z2, lat, r.grades)
-    ops = laws._Graded(meet_tnorm(lat), {})
+    ops = laws._Graded(meet_tnorm(lat))
     assert ops.sms(r) == fuzzy.sms(r)
     assert ops.sms(s) == fuzzy.sms(s)
     assert (ops.sms(s).source, ops.sms(s).target) == (z2, y2)
+
+
+def test_graded_namespaces_are_built_per_trial_and_tnorm(monkeypatch, x2, y2, z2):
+    # each trial gets fresh namespaces, one per distinct t-norm table: a
+    # Łukasiewicz table equal to the meet's (chain2) adds none
+    built = []
+
+    class Logged(laws._Graded):
+        def __init__(self, tnorm):
+            built.append(tnorm.name)
+            super().__init__(tnorm)
+
+    monkeypatch.setattr(laws, "_Graded", Logged)
+    for grades, names in (("chain2", ["meet"]), ("chain3", ["meet", "lukasiewicz"]),
+                          ("square", ["meet"])):
+        built.clear()
+        check_fuzzy_laws(x2, y2, z2, GRADES[grades], trials=3, seed=1)
+        assert built == names * 3, grades
 
 
 def test_exhaustive_gate_in_python_api(x3, y2, z2):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fuzzy import LFuzzyAmbRep
-from .hyperspace import FiniteSpace, _frozen, _superset_matrix, _union_index
+from .hyperspace import FiniteSpace, _frozen, _superset_matrix
 from .lattice import FiniteLattice
 
 
@@ -195,7 +195,7 @@ def validate_subgraph(
             return validate_capacity(space, lattice, values)
         except ValidationError:
             pass
-    _raise_first_violation(space, lattice, listed, fs, alphas, held)
+    _raise_first_violation(space, lattice, listed, held)
     raise AssertionError("a rejected pair set violates a subgraph condition")
 
 
@@ -203,8 +203,6 @@ def _raise_first_violation(
     space: FiniteSpace,
     lattice: FiniteLattice,
     listed: list[tuple[int, int]],
-    fs: np.ndarray,
-    alphas: np.ndarray,
     held: np.ndarray,
 ) -> None:
     """Raise the first subgraph condition the pair set ``listed`` violates,
@@ -226,55 +224,39 @@ def _raise_first_violation(
             "the whole space must appear at every grade",
             witness=[list(space.labels(space.full)), lattice.elements[alpha]],
         )
-    leq, jt = lattice.leq, lattice.join_table
-    supersets = _superset_matrix(space)
-    gaps = ~held
-    # a held (f, alpha) fails when some superset of f misses some grade
-    # below alpha; counts in float32 are exact at these sizes
-    gap_below = gaps.astype(np.float32) @ leq.astype(np.float32) > 0
-    gap_above = supersets.astype(np.float32) @ gap_below.astype(np.float32) > 0
-    failing = gap_above[fs - 1, alphas]
-    if failing.any():
-        f, alpha = listed[int(failing.argmax())]
-        first = supersets[f - 1][:, None] & leq[:, alpha][None, :] & gaps
-        g, beta = divmod(int(first.argmax()), lattice.size)
-        raise ValidationError(
-            "NotDownSetInAlpha",
-            "subgraphs grow with the set and shrink with the grade",
-            witness=[
-                list(space.labels(f)),
-                lattice.elements[alpha],
-                list(space.labels(g + 1)),
-                lattice.elements[beta],
-            ],
-        )
-    # reach[f - 1, beta, gamma]: some held grade alpha at f has alpha | beta = gamma;
-    # joins[f - 1, g - 1, gamma]: gamma joins a grade held at f with one held at g
-    one_hot = (jt[:, :, None] == np.arange(lattice.size)).astype(np.float32)
-    reach = (held.astype(np.float32) @ one_hot.reshape(lattice.size, -1)).reshape(
-        space.full, lattice.size, lattice.size
-    )
-    joins = held.astype(np.float32) @ reach > 0
-    unions = _union_index(space) - 1
-    short = (joins & gaps[unions]).any(axis=2)
-    if short.any():
-        f, g = (k + 1 for k in divmod(int(short.argmax()), space.full))
-        # walk the grade sets in the order the pair set fills them
-        grades_f = {alpha for f2, alpha in listed if f2 == f}
-        grades_g = {beta for g2, beta in listed if g2 == g}
-        alpha, beta = next(
-            (alpha, beta)
-            for alpha in grades_f
-            for beta in grades_g
-            if not held[(f | g) - 1, jt[alpha, beta]]
-        )
-        raise ValidationError(
-            "UnionJoinViolated",
-            "grades of a union must reach the join of the parts",
-            witness=[
-                list(space.labels(f)),
-                lattice.elements[alpha],
-                list(space.labels(g)),
-                lattice.elements[beta],
-            ],
-        )
+    leq, jt, supersets, gaps = lattice.leq, lattice.join_table, _superset_matrix(space), ~held
+    for f, alpha in listed:
+        # the first superset g of f, then grade beta below alpha, that is not held
+        missing = supersets[f - 1, :, None] & leq[:, alpha] & gaps
+        if missing.any():
+            g, beta = divmod(int(missing.argmax()), lattice.size)
+            raise ValidationError(
+                "NotDownSetInAlpha",
+                "subgraphs grow with the set and shrink with the grade",
+                witness=[
+                    list(space.labels(f)),
+                    lattice.elements[alpha],
+                    list(space.labels(g + 1)),
+                    lattice.elements[beta],
+                ],
+            )
+    by_set = {f: set() for f in space.subsets()}
+    for f, alpha in listed:
+        by_set[f].add(alpha)
+    # each set's grades in the order the pair set fills them, as the oracle walks them
+    grades = {f: list(alphas) for f, alphas in by_set.items()}
+    for f, grades_f in grades.items():
+        for g, grades_g in grades.items():
+            short = ~held[(f | g) - 1, jt[np.ix_(grades_f, grades_g)]]
+            if short.any():
+                i, j = divmod(int(short.argmax()), len(grades_g))
+                raise ValidationError(
+                    "UnionJoinViolated",
+                    "grades of a union must reach the join of the parts",
+                    witness=[
+                        list(space.labels(f)),
+                        lattice.elements[grades_f[i]],
+                        list(space.labels(g)),
+                        lattice.elements[grades_g[j]],
+                    ],
+                )

@@ -47,19 +47,24 @@ def _text(text: str) -> str:
     return text
 
 
+def _integer(text: str) -> int:
+    # int() alone would also read 2_0, +2, surrounding blanks and non-ASCII digits
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _sizes(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(s) for s in text.split(","))
-    except ValueError:
+        return tuple(_integer(s) for s in text.split(","))
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"expects integers like 2,2,2, not {text!r}") from None
 
 
 def _trials(text: str) -> int:
     # a count below 1 would report "holds" over no instances at all
-    try:
-        trials = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    trials = _integer(text)
     if trials < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {trials}")
     return trials
@@ -81,7 +86,7 @@ _GEN_ENTRIES = {
 # Each flag's type, default and accepted values, written once; a verb
 # lists the flags it reads.  --trials, --seed, --lattice and --tnorm, and
 # gen's --sizes, are None when unset: what they stand for then depends on
-# other flags or input (_sampling, _resolve_tnorm, laws and _run_gen).
+# other flags or input (_sampling, _tnorm, laws and _run_gen).
 _FLAGS = {
     "--rep": {"type": _text, "required": True},
     "--rep2": {"type": _text, "required": True},
@@ -95,7 +100,7 @@ _FLAGS = {
     "--kind": {"choices": tuple(_GEN_ENTRIES), "required": True},
     "--sizes": {"type": _sizes, "default": (2, 2, 2)},
     "--trials": {"type": _trials},
-    "--seed": {"type": int},
+    "--seed": {"type": _integer},
     "--density": {"type": _density, "default": 0.3},
     "--exhaustive": {"action": "store_true"},
 }
@@ -150,11 +155,24 @@ def _sampling(args) -> tuple[int, int]:
     return (200 if args.trials is None else args.trials), (0 if args.seed is None else args.seed)
 
 
-def _load_rep(path: str):
+def _load_rep(path: str, graded: bool | None = None, refusal: str = ""):
+    """A representation file as ``(rep, embedded t-norm or None)``.  With
+    ``graded`` given, a file of the other kind exits 3 with ``refusal``,
+    after it has been read: an invalid file still gets its report."""
     payload = io.load_path(path)
     if io.is_fuzzy_payload(payload):
-        return io.fuzzy_rep_from(payload)
-    return io.crisp_rep_from(payload), None
+        rep, tn = io.fuzzy_rep_from(payload)
+    else:
+        rep, tn = io.crisp_rep_from(payload), None
+    if graded is not None and isinstance(rep, fuzzy.LFuzzyAmbRep) != graded:
+        raise MalformedInput(refusal)
+    return rep, tn
+
+
+def _rep_payload(rep, tn=None) -> dict:
+    if isinstance(rep, fuzzy.LFuzzyAmbRep):
+        return io.fuzzy_rep_payload(rep, tn)
+    return io.crisp_rep_payload(rep)
 
 
 def _entries(sizes: tuple[int, ...], how_many: int) -> tuple[int, ...]:
@@ -174,76 +192,63 @@ def _spaces(sizes: tuple[int, ...]) -> list[FiniteSpace]:
 _LATTICES = {"chain2": partial(chain, 2), "chain3": partial(chain, 3), "chain4": partial(chain, 4),
              "square": boolean_square}
 
+_TNORMS = {"meet": meet_tnorm, "lukasiewicz": lukasiewicz}
 
-def _named_lattice(name: str):
+
+def _lattice(spec: str):
     """A lattice by its name in :data:`_LATTICES`, or read from a file."""
-    if name in _LATTICES:
-        return _LATTICES[name]()
-    lat, _ = io.lattice_from(io.load_path(name))
+    if spec in _LATTICES:
+        return _LATTICES[spec]()
+    lat, _ = io.lattice_from(io.load_path(spec))
     return lat
 
 
-def _resolve_tnorm(spec_str, lattice, embedded):
-    if spec_str in (None, "meet"):
+def _tnorm(spec, lattice, embedded):
+    """``--tnorm`` by name; unset, the t-norm the files embed or the meet.
+    A custom t-norm reaches ``compose`` only embedded in the files."""
+    if spec is None:
         return embedded or meet_tnorm(lattice)
-    if spec_str == "lukasiewicz":
-        return lukasiewicz(lattice)
-    lat2, tn = io.lattice_from(io.load_path(spec_str))
-    if tn is None:
-        raise MalformedInput(f"{spec_str} carries no tnorm table")
-    if lat2 != lattice:
-        raise SpaceMismatch("tnorm file lattice differs from the representation lattice")
+    if spec not in _TNORMS:
+        raise MalformedInput(f"--tnorm takes {' or '.join(_TNORMS)}, not {spec!r}")
+    tn = _TNORMS[spec](lattice)
+    if embedded is not None and embedded != tn:
+        raise SpaceMismatch(f"--tnorm {spec} differs from the t-norm the files embed")
     return tn
 
 
 def _run(args) -> int:
     if args.verb == "validate":
+        if (args.rep is None) == (args.lattice is None):
+            raise MalformedInput("validate takes exactly one of --rep and --lattice")
         if args.lattice is not None:
-            lat, _ = io.lattice_from(io.load_path(args.lattice))
-            _emit(args, {"verdict": "valid", "kind": "lattice", "elements": list(lat.elements)})
-            return 0
-        if args.rep is None:
-            raise MalformedInput("validate needs --rep or --lattice")
-        rep, _ = _load_rep(args.rep)
-        kind = "fuzzy" if isinstance(rep, fuzzy.LFuzzyAmbRep) else "crisp"
-        _emit(args, {"verdict": "valid", "kind": kind})
-        return 0
-
-    if args.verb == "sms":
-        rep, tn = _load_rep(args.rep)
-        if isinstance(rep, fuzzy.LFuzzyAmbRep):
-            _emit(args, io.fuzzy_rep_payload(fuzzy.sms(rep), tn))
+            elements = list(_lattice(args.lattice).elements)
+            _emit(args, {"verdict": "valid", "kind": "lattice", "elements": elements})
         else:
-            _emit(args, io.crisp_rep_payload(crisp.sms(rep)))
+            graded = isinstance(_load_rep(args.rep)[0], fuzzy.LFuzzyAmbRep)
+            _emit(args, {"verdict": "valid", "kind": "fuzzy" if graded else "crisp"})
         return 0
 
-    if args.verb in ("compose", "join", "meet"):
+    if args.verb in ("sms", "compose", "join", "meet"):
         rep1, tn1 = _load_rep(args.rep)
-        rep2, tn2 = _load_rep(args.rep2)
-        if isinstance(rep1, fuzzy.LFuzzyAmbRep) != isinstance(rep2, fuzzy.LFuzzyAmbRep):
-            raise MalformedInput("cannot mix crisp and graded representations")
-        if isinstance(rep1, fuzzy.LFuzzyAmbRep):
-            if tn1 is not None and tn2 is not None and tn1 != tn2:
-                # the output embeds one of them, so their order would matter
-                raise SpaceMismatch("the two representation files embed different t-norms")
-            op = {"compose": None, "join": fuzzy.join, "meet": fuzzy.meet}[args.verb]
-            if args.verb == "compose":
-                tn = _resolve_tnorm(args.tnorm, rep1.lattice, tn1 or tn2)
-                out = fuzzy.compose(rep1, rep2, tn)
-            else:
-                out = op(rep1, rep2)
-            _emit(args, io.fuzzy_rep_payload(out, tn1 or tn2))
-        else:
-            if getattr(args, "tnorm", None) is not None:
-                raise MalformedInput("--tnorm applies to graded representations, not crisp ones")
-            op = {"compose": crisp.compose, "join": crisp.join, "meet": crisp.meet}[args.verb]
-            _emit(args, io.crisp_rep_payload(op(rep1, rep2)))
+        graded = isinstance(rep1, fuzzy.LFuzzyAmbRep)
+        ops = fuzzy if graded else crisp
+        if args.verb == "sms":
+            _emit(args, _rep_payload(ops.sms(rep1), tn1))
+            return 0
+        rep2, tn2 = _load_rep(args.rep2, graded, "cannot mix crisp and graded representations")
+        if tn1 is not None and tn2 is not None and tn1 != tn2:
+            # the output embeds one of them, so their order would matter
+            raise SpaceMismatch("the two representation files embed different t-norms")
+        op = {"compose": ops.compose, "join": ops.join, "meet": ops.meet}[args.verb]
+        if args.verb == "compose" and graded:
+            op = partial(fuzzy.compose, tnorm=_tnorm(args.tnorm, rep1.lattice, tn1 or tn2))
+        elif args.verb == "compose" and args.tnorm is not None:
+            raise MalformedInput("--tnorm applies to graded representations, not crisp ones")
+        _emit(args, _rep_payload(op(rep1, rep2), tn1 or tn2))
         return 0
 
     if args.verb == "cut":
-        rep, _ = _load_rep(args.rep)
-        if not isinstance(rep, fuzzy.LFuzzyAmbRep):
-            raise MalformedInput("cut applies to graded representations")
+        rep, _ = _load_rep(args.rep, True, "cut applies to graded representations")
         try:
             alpha = rep.lattice.index(args.alpha)
         except KeyError as e:
@@ -252,17 +257,13 @@ def _run(args) -> int:
         return 0
 
     if args.verb == "capacity":
-        rep, _ = _load_rep(args.rep)
-        if not isinstance(rep, fuzzy.LFuzzyAmbRep):
-            raise MalformedInput("capacity extraction applies to graded representations")
+        rep, _ = _load_rep(args.rep, True, "capacity extraction applies to graded representations")
         a = _parse_set(rep.source, args.set)
         _emit(args, io.capacity_payload(capacity_of(rep, a)))
         return 0
 
     if args.verb == "unavoidable":
-        rep, _ = _load_rep(args.rep)
-        if isinstance(rep, fuzzy.LFuzzyAmbRep):
-            raise MalformedInput("unavoidable sets are a crisp notion; cut first")
+        rep, _ = _load_rep(args.rep, False, "unavoidable sets are a crisp notion; cut first")
         a = _parse_set(rep.source, args.set)
         fam = crisp.unavoidable(rep, a).family
         _emit(args, io.family_payload(rep.target, fam))
@@ -272,9 +273,7 @@ def _run(args) -> int:
         return _run_gen(args)
 
     if args.verb == "encode":
-        rep, _ = _load_rep(args.rep)
-        if not isinstance(rep, fuzzy.LFuzzyAmbRep):
-            raise MalformedInput("encode applies to graded representations")
+        rep, _ = _load_rep(args.rep, True, "encode applies to graded representations")
         _emit(args, io.hyper_payload(encode(rep)))
         return 0
 
@@ -288,7 +287,7 @@ def _run(args) -> int:
         if args.suite == "crisp":
             results = check_laws(x, y, z, trials=trials, exhaustive=args.exhaustive, seed=seed)
         else:
-            lat = _named_lattice(args.lattice or "chain3")
+            lat = _lattice(args.lattice or "chain3")
             results = check_fuzzy_laws(x, y, z, lat, trials, seed)
         payload = {"suite": args.suite, "laws": [r.payload() for r in results.values()]}
         broken = [r.law for r in results.values() if r.asserted and not r.holds]
@@ -327,8 +326,7 @@ def _run_gen(args) -> int:
         build = generators.translation_rep if kind == "translation" else generators.projection_rep
         rep = build(generators.GridWindow(ow, oh, w, h))
     elif kind == "metric":
-        lat = _named_lattice(lattice)
-        rep = generators.metric_rep(generators.line_metric(*sizes), lat)
+        rep = generators.metric_rep(generators.line_metric(*sizes), _lattice(lattice))
     else:
         spaces = _spaces(sizes)
         if kind == "identity":
@@ -338,15 +336,13 @@ def _run_gen(args) -> int:
         elif kind == "random":
             rep = generators.random_rep(*spaces, args.seed, args.density)
         elif kind == "random-fuzzy":
-            lat = _named_lattice(lattice)
-            rep = generators.random_fuzzy_rep(*spaces, lat, args.seed, args.density)
+            rep = generators.random_fuzzy_rep(*spaces, _lattice(lattice), args.seed, args.density)
         else:  # counterexample
-            rf, sf, witness = fuzzy.union_counterexample(*spaces, _named_lattice(lattice))
+            rf, sf, witness = fuzzy.union_counterexample(*spaces, _lattice(lattice))
             payload = {"r": io.fuzzy_rep_payload(rf), "s": io.fuzzy_rep_payload(sf)}
             _emit(args, payload | {"witness": witness})
             return 0
-    write = io.fuzzy_rep_payload if isinstance(rep, fuzzy.LFuzzyAmbRep) else io.crisp_rep_payload
-    _emit(args, write(rep))
+    _emit(args, _rep_payload(rep))
     return 0
 
 

@@ -197,13 +197,6 @@ def _mask_table(space: FiniteSpace) -> dict[tuple[str, ...], int]:
     return {labels: m for m, labels in enumerate(_label_table(space))}
 
 
-@lru_cache(maxsize=None)
-def _union_index(space: FiniteSpace) -> np.ndarray:
-    # _union_index(X)[s - 1, t - 1] = s | t, over nonempty masks
-    masks = np.arange(1, space.full + 1)
-    return _frozen(masks[:, None] | masks[None, :])
-
-
 def upward_closure(space: FiniteSpace, family: int) -> int:
     """All supersets of members: ``{A' : some A in family, A <= A'}``."""
     sup = _superset_table(space)

@@ -794,3 +794,97 @@ def test_cli_oversized_counts_are_refused_before_allocating(argv):
         "witness": None,
         "detail": f"at most 6 points supported, got {HUGE}",
     }
+
+
+# -- one resolver per input: lattices, t-norms, representation files ---------------
+
+
+def _chain3_pair(tmp_path, chain3, tnorm):
+    """Two chain3 files x -> y -> z, both embedding ``tnorm`` (or none)."""
+    x, y, z = space("x1", "x2"), space("y1", "y2"), space("z1", "z2")
+    paths = []
+    for name, (a, b, seed) in {"r.json": (x, y, 26), "s.json": (y, z, 1026)}.items():
+        path = tmp_path / name
+        rep = random_fuzzy_rep(a, b, chain3, seed, 0.4)
+        path.write_text(io.dumps(io.fuzzy_rep_payload(rep, tnorm)))
+        paths.append(str(path))
+    return paths
+
+
+def test_cli_named_tnorm_must_agree_with_the_embedded_one(tmp_path, capsys, chain3):
+    r, s = _chain3_pair(tmp_path, chain3, lukasiewicz(chain3))
+    assert main(["compose", "--rep", r, "--rep2", s, "--tnorm", "meet"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tnorm meet" in captured.err
+    code, out = run_cli(capsys, "compose", "--rep", r, "--rep2", s, "--tnorm", "lukasiewicz")
+    assert code == 0
+    assert run_cli(capsys, "compose", "--rep", r, "--rep2", s) == (0, out)
+    reps = [io.fuzzy_rep_from(io.load_path(p))[0] for p in (r, s)]
+    luk = fuzzy.compose(*reps, lukasiewicz(chain3))
+    assert out == io.dumps(io.fuzzy_rep_payload(luk, lukasiewicz(chain3)))
+
+
+def test_cli_tnorm_takes_a_name_not_a_file(tmp_path, capsys, chain3):
+    r, s = _chain3_pair(tmp_path, chain3, None)
+    lat = tmp_path / "lattice.json"
+    lat.write_text(io.dumps(io.lattice_payload(chain3, lukasiewicz(chain3))))
+    for spec in (str(lat), "chain3", "Lukasiewicz"):
+        assert main(["compose", "--rep", r, "--rep2", s, "--tnorm", spec]) == 3, spec
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tnorm" in captured.err, spec
+
+
+def test_cli_validate_takes_exactly_one_of_rep_and_lattice(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "source": ["x1"], "target": ["y1", "y2"], "pairs": [[["x1"], ["y1"]]],
+    }))
+    lat = _lattice_file(tmp_path)
+    assert run_cli(capsys, "validate", "--rep", str(bad))[0] == 1
+    good = tmp_path / "id.json"
+    assert run_cli(capsys, "gen", "--kind", "identity", "--sizes", "2", "--out", str(good))[0] == 0
+    for argv in (("--rep", str(bad), "--lattice", lat), ("--lattice", lat, "--rep", str(bad)),
+                 ("--rep", str(good), "--lattice", "chain3"), ()):
+        assert main(["validate", *argv]) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exactly one of --rep and --lattice" in captured.err
+
+
+def test_cli_validate_reads_every_lattice_name(tmp_path, capsys):
+    assert set(cli._LATTICES) == {"chain2", "chain3", "chain4", "square"}
+    for name, build in cli._LATTICES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(io.dumps(io.lattice_payload(build())))
+        code, out = run_cli(capsys, "validate", "--lattice", name)
+        assert code == 0, name
+        assert run_cli(capsys, "validate", "--lattice", str(path)) == (0, out), name
+
+
+# int() reads each of these; the integer flags refuse them
+BAD_INTEGERS = [
+    (("gen", "--kind", "top", "--sizes", "2_0,2"), "--sizes"),
+    (("gen", "--kind", "top", "--sizes", " 1,+1"), "--sizes"),
+    (("gen", "--kind", "top", "--sizes", "２,2"), "--sizes"),
+    (("gen", "--kind", "identity", "--sizes", "1 "), "--sizes"),
+    (("laws", "--sizes", "1,1,1", "--trials", "2_0"), "--trials"),
+    (("laws", "--sizes", "1,1,1", "--trials", "+2"), "--trials"),
+    (("laws", "--sizes", "1,1,1", "--trials", "٣"), "--trials"),
+    (("laws", "--sizes", "1,1,1", "--trials", "2", "--seed", " 3"), "--seed"),
+    (("gen", "--kind", "random", "--seed", "1_0"), "--seed"),
+    (("search", "--law", "modular", "--seed", "+0"), "--seed"),
+]
+
+
+def test_cli_integer_flags_take_ascii_digits_only(capsys):
+    for argv, flag in BAD_INTEGERS:
+        assert main(list(argv)) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err, argv
+    # a leading minus still reads, and so do leading zeros
+    code, out = run_cli(capsys, "laws", "--sizes=-1,1,1", "--trials", "1")
+    assert code == 1 and json.loads(out)["error"] == "EmptySpace"
+    assert main(["laws", "--trials", "0"]) == 3
+    assert "--trials" in capsys.readouterr().err
+    argv = ("gen", "--kind", "random", "--sizes", "2,2")
+    assert run_cli(capsys, *argv, "--seed=-3")[0] == 0
+    assert run_cli(capsys, *argv, "--seed", "0012") == run_cli(capsys, *argv, "--seed", "12")

@@ -109,11 +109,13 @@ _FLAGS = {
 @lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     # built once: parse_args fills a fresh namespace on every call
-    p = _Parser(prog="ambrel", description=__doc__)
+    # a flag is read by its full name only: a prefix such as --tri would
+    # run silently as --trials, and a new flag could change its meaning
+    p = _Parser(prog="ambrel", description=__doc__, allow_abbrev=False)
     sub = p.add_subparsers(dest="verb", required=True)
 
     def add(name, *flags, **differs):
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, allow_abbrev=False)
         for flag in flags:
             sp.add_argument(flag, **_FLAGS[flag] | differs.get(flag[2:], {}))
 
@@ -142,6 +144,8 @@ def _emit(args, payload) -> None:
                 fh.write(text)
         except OSError as e:
             raise MalformedInput(f"cannot write --out {args.out}: {e.strerror or e}") from None
+        except ValueError as e:  # NUL in the path
+            raise MalformedInput(f"cannot write --out {args.out}: {e}") from None
     sys.stdout.write(text)
 
 

@@ -213,10 +213,10 @@ def sms(rep: CrispAmbRep) -> CrispAmbRep:
 
 def _sms_loop(rep: CrispAmbRep) -> CrispAmbRep:
     X, Y = rep.source, rep.target
-    meets_x = _meets_table(X)
+    meets_x, everything = _meets_table(X), full_family(X)
     out_rows = []
     for hits in _meets_table(Y):
-        row = full_family(X)
+        row = everything
         for admitted, meets in zip(rep.rows, meets_x):
             # bt unavoidable for a: bt meets every admissible set of a
             if admitted & ~hits == 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -242,6 +243,30 @@ def random_rep(
     return crisp.from_seed(source, target, pairs)
 
 
+@lru_cache(maxsize=None)
+def _lane_steps(n_src: int, n_tgt: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The steps of the two subset-OR transforms on a table packed into one
+    integer, for ``n_src`` source and ``n_tgt`` target points.
+
+    Cell ``(a, b)``, for every mask ``a`` from 0 to the full source and
+    ``b`` from 0 to the full target, is the 16-bit lane ``a * 2^n_tgt +
+    b``.  A step is ``(shift, select)``: target bit ``j`` ORs the lanes
+    shifted up by ``2^j`` lanes into those whose ``b`` holds bit ``j``,
+    and source bit ``i`` ORs the lanes shifted down by ``2^i`` rows into
+    those whose ``a`` lacks bit ``i``.
+    """
+    a = np.arange(1 << n_src)[:, None]
+    b = np.arange(1 << n_tgt)[None, :]
+
+    def select(lanes: np.ndarray) -> int:
+        ones = np.where(np.broadcast_to(lanes, (len(a), b.size)), 0xFFFF, 0).astype("<u2")
+        return int.from_bytes(ones.tobytes(), "little")
+
+    over_target = tuple((16 << j, select(b >> j & 1 == 1)) for j in range(n_tgt))
+    over_source = tuple((16 << (n_tgt + i), select(a >> i & 1 == 0)) for i in range(n_src))
+    return over_target, over_source
+
+
 def random_fuzzy_rep(
     source: FiniteSpace,
     target: FiniteSpace,
@@ -251,33 +276,41 @@ def random_fuzzy_rep(
 ) -> LFuzzyAmbRep:
     """Random grade table repaired to the least valid majorant.
 
-    Raw grades: bottom with probability ``1 - density``, otherwise top
-    with probability ``density`` else a uniform element.  Repair order is
-    fixed for determinism: force the full-target column to top, propagate
-    maxima up the target order, then down the source order; the result is
-    valid by construction (``docs/properties.md``).
+    Raw grades, drawn row by row: bottom with probability ``1 - density``,
+    otherwise top with probability ``density`` else a uniform element.
+    The repair forces the full-target column to top and then grades each
+    pair ``(a, b)`` by the join of the raw grades at every superset of
+    ``a`` and subset of ``b``; the result is valid by construction.  The
+    joins run on Birkhoff masks as two subset-OR transforms, over the
+    target bits and then over the source bits, which give the tables of
+    the sequential join loops (``docs/properties.md``), kept as
+    ``oracle.random_fuzzy_rep_loops``.  The masks are packed into one
+    integer, 16 bits a cell, so each step of a transform is one shift,
+    one AND and one OR of that integer (:func:`_lane_steps`).
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     rng = random.Random(seed)
     lat = grades
-    g = np.full((source.full, target.full), lat.bottom, dtype=np.intp)
-    for a in source.subsets():
-        for b in target.subsets():
-            if rng.random() < density:
-                g[a - 1, b - 1] = lat.top if rng.random() < density else rng.randrange(lat.size)
-    g[:, target.full - 1] = lat.top
-    for b in target.subsets():
-        for j in range(target.size):
-            bigger = b | (1 << j)
-            if bigger != b:
-                g[:, bigger - 1] = lat.join_table[g[:, bigger - 1], g[:, b - 1]]
-    for a in sorted(source.subsets(), key=lambda m: -m.bit_count()):
-        for i in range(source.size):
-            smaller = a & ~(1 << i)
-            if smaller:
-                g[smaller - 1, :] = lat.join_table[g[smaller - 1, :], g[a - 1, :]]
-    return LFuzzyAmbRep(source, target, lat, g)
+    draw, uniform, n_src, n_tgt = rng.random, rng.randrange, source.full + 1, target.full + 1
+    raw = [
+        (lat.top if draw() < density else uniform(lat.size)) if draw() < density else lat.bottom
+        for _ in range(source.full * target.full)
+    ]
+    # masks[a, b]: the down mask of the grade of (a, b).  Row and column 0
+    # stand for the empty set: column 0 stays 0, the mask of bottom, and
+    # row 0 only takes joins.  Both are dropped at the end
+    masks = np.zeros((n_src, n_tgt), dtype="<u2")
+    masks[1:, 1:] = lat.down.take(raw).reshape(source.full, target.full)
+    masks[1:, target.full] = lat.down[lat.top]
+    packed = int.from_bytes(masks.tobytes(), "little")
+    over_target, over_source = _lane_steps(source.size, target.size)
+    for shift, select in over_target:  # b with bit j joins b without it
+        packed |= (packed << shift) & select
+    for shift, select in over_source:  # a without bit i joins a with it
+        packed |= (packed >> shift) & select
+    masks = np.frombuffer(packed.to_bytes(2 * masks.size, "little"), dtype="<u2")
+    return LFuzzyAmbRep(source, target, lat, lat.from_down(masks.reshape(n_src, n_tgt)[1:, 1:]))
 
 
 def random_capacity(

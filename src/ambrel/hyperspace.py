@@ -39,7 +39,15 @@ def gate_points(n: int) -> int:
 
 @dataclass(frozen=True, order=True)
 class FiniteSpace:
-    """A finite universe of labelled points."""
+    """A finite universe of labelled points.
+
+    ``size`` (the number of points), ``full`` (the bitmask of the whole
+    space, also the number of nonempty subsets) and the hash are computed
+    once, at construction: every cached table and every memo key hashes
+    a space, and the kernels read ``full`` many times per call.  They are
+    plain attributes, not dataclass fields, so equality, ordering,
+    ``repr`` and ``dataclasses.replace`` see ``points`` alone.
+    """
 
     points: tuple[str, ...]
 
@@ -48,16 +56,19 @@ class FiniteSpace:
             raise ValidationError("EmptySpace", "a space needs at least one point")
         if len(set(self.points)) != len(self.points):
             raise ValidationError("DuplicatePoint", f"duplicate labels in {self.points}")
-        gate_points(len(self.points))
+        n = gate_points(len(self.points))
+        object.__setattr__(self, "size", n)
+        object.__setattr__(self, "full", (1 << n) - 1)
+        # the hash the generated one would give: that of the compared fields
+        object.__setattr__(self, "_hash", hash((self.points,)))
 
-    @property
-    def size(self) -> int:
-        return len(self.points)
+    def __hash__(self) -> int:
+        return self._hash
 
-    @property
-    def full(self) -> int:
-        """Bitmask of the whole space (also the number of nonempty subsets)."""
-        return (1 << len(self.points)) - 1
+    def __reduce__(self):
+        # rebuild through the constructor: string hashes differ between
+        # processes, so a pickled hash would be stale
+        return type(self), (self.points,)
 
     def subsets(self) -> range:
         """All nonempty subset masks."""

@@ -329,6 +329,7 @@ def loads(text: str):
 def load_path(path: str):
     try:
         with open(path) as fh:
-            return loads(fh.read())
-    except (OSError, UnicodeDecodeError) as e:
+            text = fh.read()
+    except (OSError, ValueError) as e:  # ValueError: undecodable text, or NUL in the path
         raise MalformedInput(f"cannot read {path}: {e}") from None
+    return loads(text)

@@ -33,16 +33,18 @@ class FiniteLattice:
     (``uint16``: a lattice of at most 16 elements has at most 15 of them).
     ``x <= y`` holds exactly when ``down[x] & ~down[y] == 0``.
     Instances are immutable after construction and safe to share; only
-    :func:`validate_lattice` and its oracle twin build them.
+    :func:`validate_lattice` and its oracle twin build them.  ``size`` and
+    the hash are computed once, at construction.
     """
 
     __slots__ = (
         "elements", "leq", "join_table", "meet_table", "bottom", "top",
-        "irreducibles", "down", "_of_down", "_index",
+        "irreducibles", "down", "size", "_of_down", "_index", "_hash",
     )
 
     def __init__(self, elements, leq, join_table, meet_table, bottom, top, irreducibles, down):
         self.elements: tuple[str, ...] = tuple(elements)
+        self.size: int = len(self.elements)
         self._index = {label: i for i, label in enumerate(self.elements)}
         self.leq = leq
         self.join_table = join_table
@@ -57,12 +59,9 @@ class FiniteLattice:
         self._of_down[down] = np.arange(len(self.elements))
         for arr in (self.leq, self.join_table, self.meet_table, self.down, self._of_down):
             arr.setflags(write=False)
+        self._hash = hash((self.elements, self.leq.tobytes()))
 
     # -- basic queries ------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
 
     def index(self, label: str) -> int:
         try:
@@ -123,7 +122,15 @@ class FiniteLattice:
         )
 
     def __hash__(self) -> int:
-        return hash((self.elements, self.leq.tobytes()))
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor: string hashes differ between
+        # processes, so a pickled hash would be stale
+        return type(self), (
+            self.elements, self.leq, self.join_table, self.meet_table,
+            self.bottom, self.top, self.irreducibles, self.down,
+        )
 
     def __repr__(self) -> str:
         return f"FiniteLattice({list(self.elements)})"

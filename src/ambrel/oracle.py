@@ -15,6 +15,7 @@ and the benchmark's output checks; they make no attempt at speed.
 from __future__ import annotations
 
 import operator
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -568,6 +569,34 @@ def metric_rep_loops(m: MetricTable, grades: FiniteLattice) -> LFuzzyAmbRep:
             level = min(int(val * (n_levels - 1)), n_levels - 1)  # floor quantization
             g[a - 1, b - 1] = at[level]
     return fuzzy.validate(sp, sp, grades, g)
+
+
+def random_fuzzy_rep_loops(
+    source: FiniteSpace, target: FiniteSpace, grades: FiniteLattice, seed: int, density: float
+) -> LFuzzyAmbRep:
+    """``generators.random_fuzzy_rep`` by the sequential repair: the same
+    draws one cell at a time, then join each column into its one-point
+    extensions in increasing mask order and each row into its one-point
+    reductions by decreasing size, one ``join_table`` lookup per step."""
+    rng = random.Random(seed)
+    lat = grades
+    g = np.full((source.full, target.full), lat.bottom, dtype=np.intp)
+    for a in source.subsets():
+        for b in target.subsets():
+            if rng.random() < density:
+                g[a - 1, b - 1] = lat.top if rng.random() < density else rng.randrange(lat.size)
+    g[:, target.full - 1] = lat.top
+    for b in target.subsets():
+        for j in range(target.size):
+            bigger = b | (1 << j)
+            if bigger != b:
+                g[:, bigger - 1] = lat.join_table[g[:, bigger - 1], g[:, b - 1]]
+    for a in sorted(source.subsets(), key=lambda m: -m.bit_count()):
+        for i in range(source.size):
+            smaller = a & ~(1 << i)
+            if smaller:
+                g[smaller - 1, :] = lat.join_table[g[smaller - 1, :], g[a - 1, :]]
+    return fuzzy.validate(source, target, lat, g)
 
 
 def translation_rep_loops(g: GridWindow, grades: FiniteLattice | None = None) -> LFuzzyAmbRep:

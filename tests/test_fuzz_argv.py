@@ -64,8 +64,9 @@ def _malformed_integer(flag: str, value: str) -> bool:
 
 
 def _asks_help(word: str) -> bool:
-    # -h, --help or an abbreviation of it exits 0 before later values are read
-    return word.startswith("-h") or (len(word) > 2 and "--help".startswith(word))
+    # -h or --help exits 0 before later values are read; the parser takes
+    # no abbreviation of a flag, so --hel is an unknown argument
+    return word.startswith("-h") or word == "--help"
 
 
 def _write_fixtures() -> None:

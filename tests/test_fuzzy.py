@@ -363,6 +363,35 @@ def test_compose_matches_oracle_twin():
                 assert fuzzy.compose(r, s, tn) == oracle.compose_subgraph(r, s, tn)
 
 
+def _points(prefix, n):
+    return space(*(f"{prefix}{i}" for i in range(1, n + 1)))
+
+
+def test_small_table_formulas_match_the_twins_on_both_sides_of_their_thresholds():
+    # below its threshold a kernel gathers one small table; both paths
+    # must give the oracles' cuts and compositions
+    cut_sides, compose_sides = set(), set()
+    for lat in (chain(2), chain(3), boolean_square(), chain(8), chain(16)):
+        for n_src, n_tgt in ((2, 2), (3, 3), (3, 4), (4, 3), (4, 4), (4, 5), (5, 4)):
+            X, Y = _points("x", n_src), _points("y", n_tgt)
+            rep = random_fuzzy_rep(X, Y, lat, n_src * n_tgt, 0.4)
+            cut_sides.add(lat.size * X.full * Y.full < fuzzy.CUT_KERNEL_MIN_CELLS)
+            for alpha in range(lat.size):
+                assert fuzzy.alpha_cut(rep, alpha) == oracle.alpha_cut_per_pair(rep, alpha)
+    assert cut_sides == {True, False}
+    assert 16 * 15 * 15 == fuzzy.CUT_KERNEL_MIN_CELLS  # 4x4 over chain16: the kernel
+    for lat in (chain(3), boolean_square(), chain(16)):
+        tnorms = [meet_tnorm(lat)] + ([lukasiewicz(lat)] if lat.is_chain() else [])
+        for shape in ((2, 2, 2), (3, 3, 3), (1, 6, 1), (2, 4, 4), (3, 3, 4), (4, 3, 3), (2, 2, 6)):
+            X, Y, Z = (_points(p, n) for p, n in zip("xyz", shape))
+            r = random_fuzzy_rep(X, Y, lat, sum(shape), 0.4)
+            s = random_fuzzy_rep(Y, Z, lat, 7 + sum(shape), 0.5)
+            compose_sides.add(X.full * Y.full * Z.full < fuzzy.COMPOSE_KERNEL_MIN_CELLS)
+            for tn in tnorms:
+                assert fuzzy.compose(r, s, tn) == oracle.compose_subgraph(r, s, tn), (shape, lat)
+    assert compose_sides == {True, False}
+
+
 def test_from_cuts_rejects_a_self_reproducing_invalid_family():
     X, Y = space("x1", "x2"), space("y1", "y2")
     lat = chain(3)

@@ -6,7 +6,7 @@ import pytest
 
 from ambrel import crisp, fuzzy, io, oracle
 from ambrel.capacity import LCapacity, validate_capacity
-from ambrel.catalog import boolean_square, chain, lukasiewicz
+from ambrel.catalog import all_distributive_lattices, boolean_square, chain, lukasiewicz
 from ambrel.errors import ValidationError
 from ambrel.generators import (
     GridWindow,
@@ -191,6 +191,24 @@ def test_random_fuzzy_extremes_and_validity(x2, y2, square):
     for seed in range(25):
         rep = random_fuzzy_rep(x2, y2, square, seed, 0.5)
         assert fuzzy.validate(x2, y2, square, rep.grades) == rep
+
+
+def test_random_fuzzy_rep_matches_the_loop_repair():
+    # every size pair up to 3x3 over every distributive lattice of at most
+    # 6 elements, densities 0 and 1 included
+    lattices = list(all_distributive_lattices(6))
+    for n_src, n_tgt in product(range(1, 4), repeat=2):
+        X = space(*(f"x{i}" for i in range(1, n_src + 1)))
+        Y = space(*(f"y{i}" for i in range(1, n_tgt + 1)))
+        for lat, seed, density in product(lattices, range(3), (0.0, 0.2, 0.5, 0.9, 1.0)):
+            want = oracle.random_fuzzy_rep_loops(X, Y, lat, seed, density)
+            assert random_fuzzy_rep(X, Y, lat, seed, density) == want, (n_src, n_tgt, lat, seed)
+    # spot checks at six points over the largest chain and the square
+    X, Y = space(*"abcdef"), space(*"uvwxyz")
+    for lat, seed in product((chain(16), boolean_square()), range(2)):
+        for target in (Y, space(*"uvwx")):
+            want = oracle.random_fuzzy_rep_loops(X, target, lat, seed, 0.35)
+            assert random_fuzzy_rep(X, target, lat, seed, 0.35) == want, (lat, seed)
 
 
 def test_random_capacity_validates(y3, chain3):

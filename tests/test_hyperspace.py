@@ -1,4 +1,11 @@
+import copy
+import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +41,58 @@ def test_space_basics():
         FiniteSpace(("p", "p"))
     with pytest.raises(ValidationError):
         FiniteSpace(tuple(f"p{i}" for i in range(7)))
+
+
+def test_space_keeps_its_dataclass_behaviour():
+    # size, full and the hash are attributes set once, not fields
+    X = space("b", "a", "c")
+    assert (X.size, X.full) == (3, 7)
+    assert [f.name for f in dataclasses.fields(X)] == ["points"]
+    assert repr(X) == "FiniteSpace(points=('b', 'a', 'c'))"
+    assert X == space("b", "a", "c") and hash(X) == hash(space("b", "a", "c"))
+    assert hash(X) == hash((X.points,))
+    assert sorted([space("b"), space("a", "z"), space("a")]) == [
+        space("a"), space("a", "z"), space("b"),
+    ]
+    Y = dataclasses.replace(X, points=("p",))
+    assert (Y.size, Y.full, hash(Y)) == (1, 1, hash(space("p")))
+    for name in ("points", "size", "full"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(X, name, 1)
+    assert copy.deepcopy(X) == X and hash(copy.copy(X)) == hash(X)
+
+
+# pickled in one interpreter, read in another with a different string hash
+_PICKLE = """
+import pickle, sys
+from ambrel.catalog import boolean_square, chain
+from ambrel.hyperspace import space
+objects = [space("x1", "x2"), space("y1"), chain(3), boolean_square()]
+sys.stdout.buffer.write(pickle.dumps((objects, {obj: k for k, obj in enumerate(objects)})))
+"""
+_UNPICKLE = """
+import pickle, sys
+from ambrel.catalog import boolean_square, chain
+from ambrel.hyperspace import _superset_table, space
+objects, table = pickle.loads(sys.stdin.buffer.read())
+fresh = [space("x1", "x2"), space("y1"), chain(3), boolean_square()]
+assert objects == fresh
+assert [hash(obj) for obj in objects] == [hash(obj) for obj in fresh]
+assert [table[obj] for obj in fresh] == [0, 1, 2, 3]
+assert [{obj: k for k, obj in enumerate(objects)}[obj] for obj in fresh] == [0, 1, 2, 3]
+assert _superset_table(objects[0]) is _superset_table(fresh[0])
+print("found")
+"""
+
+
+def test_spaces_and_lattices_rehash_when_unpickled():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = partial(subprocess.run, capture_output=True, timeout=120, check=True)
+    dumped = run([sys.executable, "-c", _PICKLE], env=env | {"PYTHONHASHSEED": "1"}).stdout
+    read = run([sys.executable, "-c", _UNPICKLE], env=env | {"PYTHONHASHSEED": "2"}, input=dumped)
+    assert read.stdout.decode().split() == ["found"]
 
 
 def test_traversal_frozen_values():

@@ -888,3 +888,35 @@ def test_cli_integer_flags_take_ascii_digits_only(capsys):
     argv = ("gen", "--kind", "random", "--sizes", "2,2")
     assert run_cli(capsys, *argv, "--seed=-3")[0] == 0
     assert run_cli(capsys, *argv, "--seed", "0012") == run_cli(capsys, *argv, "--seed", "12")
+
+
+def test_cli_a_path_holding_nul_exits_three(tmp_path, capsys):
+    # open() refuses such a path with a bare ValueError; an in-process
+    # caller can pass one, a process argv cannot
+    good = tmp_path / "id.json"
+    assert run_cli(capsys, "gen", "--kind", "identity", "--sizes", "2", "--out", str(good))[0] == 0
+    nul = str(tmp_path / "a\x00b")
+    for flag, argv in (
+        ("--rep", ["validate", "--rep", nul]),
+        ("--rep2", ["compose", "--rep", str(good), "--rep2", nul]),
+        ("--lattice", ["validate", "--lattice", nul]),
+        ("--out", ["gen", "--kind", "identity", "--sizes", "2", "--out", nul]),
+    ):
+        assert main(argv) == 3, flag
+        captured = capsys.readouterr()
+        assert captured.out == "" and "null byte" in captured.err, flag
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("laws", "--tri", "1", "--siz", "1,1,1"), "--tri"),
+        (("gen", "--ki", "identity", "--si", "2"), "--kind"),
+        (("gen", "--kind", "identity", "--si", "2"), "--si"),
+        (("search", "--law", "modular", "--exh"), "--exh"),
+    ],
+)
+def test_cli_refuses_abbreviated_flags(capsys, argv, named):
+    assert main(list(argv)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err

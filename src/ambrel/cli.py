@@ -135,8 +135,8 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _emit(args, payload) -> None:
-    text = io.dumps(payload)
+def _emit(args, text: str) -> None:
+    """Write canonical JSON text to ``--out``, if given, and to stdout."""
     if args.out is not None:
         # the file first: a path that cannot be written leaves stdout empty
         try:
@@ -173,10 +173,10 @@ def _load_rep(path: str, graded: bool | None = None, refusal: str = ""):
     return rep, tn
 
 
-def _rep_payload(rep, tn=None) -> dict:
+def _rep_text(rep, tn=None) -> str:
     if isinstance(rep, fuzzy.LFuzzyAmbRep):
-        return io.fuzzy_rep_payload(rep, tn)
-    return io.crisp_rep_payload(rep)
+        return io.fuzzy_rep_text(rep, tn)
+    return io.crisp_rep_text(rep)
 
 
 def _entries(sizes: tuple[int, ...], how_many: int) -> tuple[int, ...]:
@@ -226,10 +226,10 @@ def _run(args) -> int:
             raise MalformedInput("validate takes exactly one of --rep and --lattice")
         if args.lattice is not None:
             elements = list(_lattice(args.lattice).elements)
-            _emit(args, {"verdict": "valid", "kind": "lattice", "elements": elements})
+            _emit(args, io.dumps({"verdict": "valid", "kind": "lattice", "elements": elements}))
         else:
             graded = isinstance(_load_rep(args.rep)[0], fuzzy.LFuzzyAmbRep)
-            _emit(args, {"verdict": "valid", "kind": "fuzzy" if graded else "crisp"})
+            _emit(args, io.dumps({"verdict": "valid", "kind": "fuzzy" if graded else "crisp"}))
         return 0
 
     if args.verb in ("sms", "compose", "join", "meet"):
@@ -237,7 +237,7 @@ def _run(args) -> int:
         graded = isinstance(rep1, fuzzy.LFuzzyAmbRep)
         ops = fuzzy if graded else crisp
         if args.verb == "sms":
-            _emit(args, _rep_payload(ops.sms(rep1), tn1))
+            _emit(args, _rep_text(ops.sms(rep1), tn1))
             return 0
         rep2, tn2 = _load_rep(args.rep2, graded, "cannot mix crisp and graded representations")
         if tn1 is not None and tn2 is not None and tn1 != tn2:
@@ -248,7 +248,7 @@ def _run(args) -> int:
             op = partial(fuzzy.compose, tnorm=_tnorm(args.tnorm, rep1.lattice, tn1 or tn2))
         elif args.verb == "compose" and args.tnorm is not None:
             raise MalformedInput("--tnorm applies to graded representations, not crisp ones")
-        _emit(args, _rep_payload(op(rep1, rep2), tn1 or tn2))
+        _emit(args, _rep_text(op(rep1, rep2), tn1 or tn2))
         return 0
 
     if args.verb == "cut":
@@ -257,20 +257,20 @@ def _run(args) -> int:
             alpha = rep.lattice.index(args.alpha)
         except KeyError as e:
             raise MalformedInput(str(e)) from None
-        _emit(args, io.crisp_rep_payload(fuzzy.alpha_cut(rep, alpha)))
+        _emit(args, io.crisp_rep_text(fuzzy.alpha_cut(rep, alpha)))
         return 0
 
     if args.verb == "capacity":
         rep, _ = _load_rep(args.rep, True, "capacity extraction applies to graded representations")
         a = _parse_set(rep.source, args.set)
-        _emit(args, io.capacity_payload(capacity_of(rep, a)))
+        _emit(args, io.dumps(io.capacity_payload(capacity_of(rep, a))))
         return 0
 
     if args.verb == "unavoidable":
         rep, _ = _load_rep(args.rep, False, "unavoidable sets are a crisp notion; cut first")
         a = _parse_set(rep.source, args.set)
         fam = crisp.unavoidable(rep, a).family
-        _emit(args, io.family_payload(rep.target, fam))
+        _emit(args, io.dumps(io.family_payload(rep.target, fam)))
         return 0
 
     if args.verb == "gen":
@@ -278,7 +278,7 @@ def _run(args) -> int:
 
     if args.verb == "encode":
         rep, _ = _load_rep(args.rep, True, "encode applies to graded representations")
-        _emit(args, io.hyper_payload(encode(rep)))
+        _emit(args, io.hyper_text(encode(rep)))
         return 0
 
     if args.verb == "laws":
@@ -296,7 +296,7 @@ def _run(args) -> int:
         payload = {"suite": args.suite, "laws": [r.payload() for r in results.values()]}
         broken = [r.law for r in results.values() if r.asserted and not r.holds]
         payload["asserted_violations"] = broken
-        _emit(args, payload)
+        _emit(args, io.dumps(payload))
         for r in results.values():
             status = "holds" if r.holds else "counterexample"
             print(f"{r.law}: {status} ({r.checked} instances)", file=sys.stderr)
@@ -308,7 +308,7 @@ def _run(args) -> int:
         verdict = search_law(
             args.law, x, y, z, exhaustive=args.exhaustive, trials=trials, seed=seed
         )
-        _emit(args, verdict)
+        _emit(args, io.dumps(verdict))
         print(f"{args.law}: {verdict['verdict']}", file=sys.stderr)
         return 2 if verdict["verdict"] == "counterexample" else 0
 
@@ -344,9 +344,9 @@ def _run_gen(args) -> int:
         else:  # counterexample
             rf, sf, witness = fuzzy.union_counterexample(*spaces, _lattice(lattice))
             payload = {"r": io.fuzzy_rep_payload(rf), "s": io.fuzzy_rep_payload(sf)}
-            _emit(args, payload | {"witness": witness})
+            _emit(args, io.dumps(payload | {"witness": witness}))
             return 0
-    _emit(args, _rep_payload(rep))
+    _emit(args, _rep_text(rep))
     return 0
 
 

@@ -94,11 +94,12 @@ class TernaryHyperRelation:
 
     def triples(self):
         fams, bs = np.nonzero(self.masks)
-        for fam, b in zip(fams.tolist(), bs.tolist()):
-            mk = int(self.masks[fam, b])
-            for alpha in range(self.lattice.size):
+        grades = range(self.lattice.size)
+        # one read of the nonzero cells: indexing them one by one costs more
+        for fam, b, mk in zip(fams.tolist(), bs.tolist(), self.masks[fams, bs].tolist()):
+            for alpha in grades:
                 if mk >> alpha & 1:
-                    yield int(fam), int(b), alpha
+                    yield fam, b, alpha
 
     def triple_count(self) -> int:
         return int(_POPCOUNT[self.masks].sum())

@@ -4,12 +4,19 @@ Subsets serialize as label arrays in point order; families as subset
 arrays sorted by mask; pair and grade lists sorted likewise.  Canonical
 output means running any operation twice over its own output is a
 fixpoint, and fixed seeds give byte-identical files.
+
+Each bulk kind has two writers: ``<kind>_payload`` builds the dict that
+other payloads embed, and ``<kind>_text`` returns the file text,
+``dumps(<kind>_payload(x))``, joined from canonical JSON fragments kept
+per space and per lattice, so only the small parts go through the
+encoder.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from functools import lru_cache
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -24,6 +31,10 @@ from .lattice import FiniteLattice, TNormTable, validate_lattice, validate_tnorm
 
 
 # -- primitives ----------------------------------------------------------------
+
+# Canonical JSON: sorted keys, no blanks, ASCII only.  Every payload is a
+# tree that the writers build, so tracking cycles would be pure cost.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def space_payload(space: FiniteSpace) -> list[str]:
@@ -68,6 +79,32 @@ def _subset_reader(space: FiniteSpace):
 def family_payload(space: FiniteSpace, family: int) -> list[list[str]]:
     names = _label_table(space)
     return [list(names[s]) for s in members(family)]
+
+
+# -- canonical fragments --------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _subset_texts(space: FiniteSpace) -> tuple[str, ...]:
+    # _subset_texts(X)[m] = the JSON of subset m's label list, for every
+    # mask m from 0 to X.full; [X.full] is the point list
+    return tuple(_ENCODER.encode(list(labels)) for labels in _label_table(space))
+
+
+@lru_cache(maxsize=None)
+def _family_texts(space: FiniteSpace) -> tuple[str, ...]:
+    # _family_texts(X)[f] = the JSON of family f's subset lists, for every
+    # family mask: at most 128 under the encoding's three-point gate
+    subsets = _subset_texts(space)
+    return tuple(
+        "[" + ",".join([subsets[s] for s in members(fam)]) + "]" for fam in range(1 << space.full)
+    )
+
+
+@lru_cache(maxsize=None)
+def _element_texts(lat: FiniteLattice) -> tuple[str, ...]:
+    # _element_texts(L)[g] = the JSON of element g's label
+    return tuple(_ENCODER.encode(e) for e in lat.elements)
 
 
 # -- lattices --------------------------------------------------------------------
@@ -130,6 +167,13 @@ def crisp_rep_payload(rep: CrispAmbRep) -> dict:
     }
 
 
+def crisp_rep_text(rep: CrispAmbRep) -> str:
+    """``dumps(crisp_rep_payload(rep))``, joined from fragments."""
+    src, tgt = _subset_texts(rep.source), _subset_texts(rep.target)
+    pairs = ",".join([f"[{src[a]},{tgt[b]}]" for a, b in rep.pairs()])
+    return f'{{"pairs":[{pairs}],"source":{src[-1]},"target":{tgt[-1]}}}\n'
+
+
 def crisp_rep_from(payload) -> CrispAmbRep:
     if not isinstance(payload, dict) or not {"source", "target", "pairs"} <= payload.keys():
         raise MalformedInput("a representation needs 'source', 'target' and 'pairs'")
@@ -151,24 +195,39 @@ def crisp_rep_from(payload) -> CrispAmbRep:
 # -- graded representations ----------------------------------------------------------
 
 
+def _listed_grades(rep: LFuzzyAmbRep) -> Iterator[tuple[int, int, int]]:
+    """``(source mask, target mask, grade index)`` of every listed entry.
+
+    Unlisted are the defaults: bottom everywhere, top on the full target.
+    ``nonzero`` keeps the row-major order (source mask, then target mask).
+    """
+    listed = rep.grades != rep.lattice.bottom
+    listed[:, -1] = False
+    rows, cols = np.nonzero(listed)
+    grades = rep.grades[rows, cols].tolist()
+    return zip((rows + 1).tolist(), (cols + 1).tolist(), grades)
+
+
 def fuzzy_rep_payload(rep: LFuzzyAmbRep, tnorm: TNormTable | None = None) -> dict:
     lat = rep.lattice
     src, tgt = _label_table(rep.source), _label_table(rep.target)
-    # defaults: bottom everywhere, top on the full target; nonzero keeps
-    # the row-major order (source mask, then target mask)
-    listed = rep.grades != lat.bottom
-    listed[:, -1] = False
-    rows, cols = np.nonzero(listed)
-    grades = [
-        [list(src[a + 1]), list(tgt[b + 1]), lat.elements[g]]
-        for a, b, g in zip(rows.tolist(), cols.tolist(), rep.grades[rows, cols].tolist())
-    ]
     return {
         "source": space_payload(rep.source),
         "target": space_payload(rep.target),
         "lattice": lattice_payload(lat, tnorm),
-        "grades": grades,
+        "grades": [
+            [list(src[a]), list(tgt[b]), lat.elements[g]] for a, b, g in _listed_grades(rep)
+        ],
     }
+
+
+def fuzzy_rep_text(rep: LFuzzyAmbRep, tnorm: TNormTable | None = None) -> str:
+    """``dumps(fuzzy_rep_payload(rep, tnorm))``, joined from fragments."""
+    src, tgt = _subset_texts(rep.source), _subset_texts(rep.target)
+    names = _element_texts(rep.lattice)
+    grades = ",".join([f"[{src[a]},{tgt[b]},{names[g]}]" for a, b, g in _listed_grades(rep)])
+    lattice = _ENCODER.encode(lattice_payload(rep.lattice, tnorm))
+    return f'{{"grades":[{grades}],"lattice":{lattice},"source":{src[-1]},"target":{tgt[-1]}}}\n'
 
 
 def fuzzy_rep_from(payload) -> tuple[LFuzzyAmbRep, TNormTable | None]:
@@ -269,6 +328,15 @@ def hyper_payload(t: TernaryHyperRelation) -> dict:
     }
 
 
+def hyper_text(t: TernaryHyperRelation) -> str:
+    """``dumps(hyper_payload(t))``, joined from fragments."""
+    fams, src, tgt = _family_texts(t.source), _subset_texts(t.source), _subset_texts(t.target)
+    names = _element_texts(t.lattice)
+    triples = ",".join([f"[{fams[f]},{tgt[b]},{names[g]}]" for f, b, g in t.triples()])
+    lattice = _ENCODER.encode(lattice_payload(t.lattice))
+    return f'{{"lattice":{lattice},"source":{src[-1]},"target":{tgt[-1]},"triples":[{triples}]}}\n'
+
+
 def hyper_from(payload) -> TernaryHyperRelation:
     need = {"source", "target", "lattice", "triples"}
     if not isinstance(payload, dict) or not need <= payload.keys():
@@ -300,7 +368,7 @@ def hyper_from(payload) -> TernaryHyperRelation:
 
 
 def dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(payload) + "\n"
 
 
 def _object(pairs: list) -> dict:
@@ -328,7 +396,7 @@ def loads(text: str):
 
 def load_path(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # whatever the locale
             text = fh.read()
     except (OSError, ValueError) as e:  # ValueError: undecodable text, or NUL in the path
         raise MalformedInput(f"cannot read {path}: {e}") from None

@@ -184,14 +184,14 @@ def _raise_first(labels: Sequence[str], *checks) -> None:
     them, each mask true where its axiom fails.  The loops run row-major
     over the axes all masks share and test every check there in turn; a
     mask's further axes run innermost.  The witness is the labels at the
-    violating index.
+    violating index.  Valid input costs one ``any`` per mask.
     """
+    if not any(mask.any() for _, _, mask in checks):
+        return
     lead = min(mask.ndim for _, _, mask in checks)
     bad = np.logical_or.reduce(
         [mask.reshape(mask.shape[:lead] + (-1,)).any(axis=-1) for _, _, mask in checks]
     )
-    if not bad.any():
-        return
     at = np.unravel_index(bad.argmax(), bad.shape)
     code, message, mask = next(check for check in checks if check[2][at].any())
     rest = np.unravel_index(mask[at].argmax(), mask[at].shape)

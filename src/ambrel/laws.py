@@ -168,12 +168,13 @@ class _Graded:
     """Law operations on graded representations, composing under one
     t-norm.  ``fuzzy`` is looked up at each call, as in :class:`_Reps`.
 
-    ``sms``, ``compose`` and ``identity`` keep their results in the
-    namespace's own memo.  The suite builds its namespaces afresh for each
-    trial, so a trial evaluates each distinct operation once and no result
-    outlives its trial.  ``join`` and ``meet`` are one table lookup each
-    and are called directly.  A key holds values, never identities: the
-    operation, the spaces and the grade bytes.  The spaces are needed:
+    ``sms``, ``compose`` and ``identity`` keep their results in a memo.
+    The suite builds its namespaces afresh for each trial, one per t-norm
+    sharing one memo (:meth:`per_trial`), so a trial evaluates each
+    distinct operation once and no result outlives its trial.  ``join``
+    and ``meet`` are one table lookup each and are called directly.  A
+    key holds values, never identities: the operation, the spaces, the
+    grade bytes and, for ``compose``, the t-norm.  The spaces are needed:
     tables between different spaces can have the same shape and bytes.
     """
 
@@ -184,7 +185,17 @@ class _Graded:
 
     def __init__(self, tnorm: TNormTable):
         self.tnorm = tnorm
+        self._table = tnorm.table.tobytes()  # the t-norm in compose keys, hashed once
         self._memo: dict = {}
+
+    @classmethod
+    def per_trial(cls, tnorms: list[TNormTable]) -> list["_Graded"]:
+        """One namespace per t-norm, all on the first one's memo: ``sms``
+        and ``identity`` need no t-norm, so each runs once per trial."""
+        graded = [cls(tn) for tn in tnorms]
+        for ops in graded[1:]:
+            ops._memo = graded[0]._memo
+        return graded
 
     def _once(self, key: tuple, op: Callable, *args):
         out = self._memo.get(key)
@@ -197,7 +208,7 @@ class _Graded:
 
     def compose(self, r, s):
         spaces = (r.source, r.target, s.target)  # r.target is the middle space
-        key = ("compose", *spaces, r.grades.tobytes(), s.grades.tobytes())
+        key = ("compose", self._table, *spaces, r.grades.tobytes(), s.grades.tobytes())
         return self._once(key, fuzzy.compose, r, s, self.tnorm)
 
     def identity(self, space: FiniteSpace):
@@ -491,13 +502,17 @@ _EVERY_TNORM = ("associativity", "identity")  # the category laws
 
 def _cut_composition(r, s, graded: list[_Graded]) -> dict | None:
     """Do cuts commute with graded composition?  Recorded, never asserted,
-    and graded only: None, or a witness."""
+    and graded only: None, or a witness.  The composites of the cuts need
+    no t-norm, so each is built once."""
     lattice = r.lattice
+    composed_cuts = [
+        crisp.compose(fuzzy.alpha_cut(r, alpha), fuzzy.alpha_cut(s, alpha))
+        for alpha in range(lattice.size)
+    ]
     for ops in graded:
         comp = ops.compose(r, s)
         for alpha in range(lattice.size):
-            lhs = fuzzy.alpha_cut(comp, alpha)
-            if lhs != crisp.compose(fuzzy.alpha_cut(r, alpha), fuzzy.alpha_cut(s, alpha)):
+            if fuzzy.alpha_cut(comp, alpha) != composed_cuts[alpha]:
                 return {
                     "tnorm": ops.tnorm.name,
                     "alpha": lattice.elements[alpha],
@@ -528,8 +543,8 @@ def check_fuzzy_laws(
     the crisp suites count up to their first witness.
 
     A trial evaluates each distinct ``sms``, ``compose`` and ``identity``
-    once, through namespaces built for that trial alone (see
-    :class:`_Graded`).  Łukasiewicz runs on chains of three or more
+    once, and each composite of cuts once, through namespaces built for
+    that trial alone (see :class:`_Graded`).  Łukasiewicz runs on chains of three or more
     grades, where its table differs from the meet's; on two it is the
     meet's table, which fails nowhere the meet passes.
     ``oracle.check_fuzzy_laws_per_instance``, which calls ``fuzzy`` on
@@ -545,7 +560,7 @@ def check_fuzzy_laws(
         for name in ASSERTED_FUZZY + RECORDED_FUZZY
     }
     for i in range(trials):
-        graded = [_Graded(tn) for tn in tnorms]
+        graded = _Graded.per_trial(tnorms)
         r, r2, s = sample(x, y, 3 * i), sample(x, y, 3 * i + 1), sample(y, z, 3 * i + 2)
         t = sample(z, x, -1 - i)
         arguments = {

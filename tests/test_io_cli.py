@@ -1,19 +1,23 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambrel import cli, crisp, fuzzy, io
-from ambrel.catalog import chain, lukasiewicz
+from ambrel.catalog import all_crisp_reps, boolean_square, chain, lukasiewicz
 from ambrel.cli import main
 from ambrel.errors import MalformedInput, SpaceTooLarge, ValidationError
 from ambrel.generators import random_capacity, random_fuzzy_rep, random_rep
 from ambrel.hyperencoding import encode
-from ambrel.hyperspace import space
-from ambrel.lattice import meet_tnorm
+from ambrel.hyperspace import FiniteSpace, space
+from ambrel.lattice import meet_tnorm, validate_lattice
 
 
 def test_lattice_roundtrip(chain3, square):
@@ -542,23 +546,24 @@ def test_writers_match_the_per_subset_loops(n, m, chain3, square):
     X, Y = _frame(n, m)
     lats = [chain3, square, chain(16)]
 
-    def same(payload, expected):  # dumps also tells true from 1
+    def same(payload, text, expected):  # dumps also tells true from 1
         assert payload == expected and io.dumps(payload) == io.dumps(expected)
+        assert text == io.dumps(expected)
 
     for seed in range(3):
         density = (0.1, 0.4, 0.8)[seed]
         rep = random_rep(X, Y, seed, density)
-        same(io.crisp_rep_payload(rep), _crisp_payload_loop(rep))
+        same(io.crisp_rep_payload(rep), io.crisp_rep_text(rep), _crisp_payload_loop(rep))
         for lat in lats:
             rf = random_fuzzy_rep(X, Y, lat, seed, density)
             tnorms = [None, meet_tnorm(lat)] + ([lukasiewicz(lat)] if lat is chain3 else [])
             for tn in tnorms:
                 payload = io.fuzzy_rep_payload(rf, tn)
-                same(payload, _fuzzy_payload_loop(rf, tn))
+                same(payload, io.fuzzy_rep_text(rf, tn), _fuzzy_payload_loop(rf, tn))
                 assert io.fuzzy_rep_from(payload) == (rf, tn)
             if n <= 3 and lat is not lats[-1] and seed == 0:  # the encoding gate
                 t = encode(rf)
-                same(io.hyper_payload(t), _hyper_payload_loop(t))
+                same(io.hyper_payload(t), io.hyper_text(t), _hyper_payload_loop(t))
                 assert io.hyper_from(io.hyper_payload(t)) == t
 
 
@@ -794,6 +799,101 @@ def test_cli_oversized_counts_are_refused_before_allocating(argv):
         "witness": None,
         "detail": f"at most 6 points supported, got {HUGE}",
     }
+
+
+# -- text writers: the dict writers' bytes, joined from fragments ------------------
+
+
+def _every_graded_rep(X, Y, lat):
+    """Every graded representation X -> Y over ``lat``: each grade table
+    with top on the full target that ``fuzzy.validate`` accepts."""
+    free = X.full * (Y.full - 1)
+    for grades in itertools.product(range(lat.size), repeat=free):
+        table = np.full((X.full, Y.full), lat.top)
+        table[:, :-1] = np.reshape(grades, (X.full, Y.full - 1))
+        try:
+            yield fuzzy.validate(X, Y, lat, table)
+        except ValidationError:
+            pass
+
+
+def _assert_graded_text_writers_match(rf, tnorms):
+    for tn in tnorms:
+        assert io.fuzzy_rep_text(rf, tn) == io.dumps(io.fuzzy_rep_payload(rf, tn))
+    t = encode(rf)
+    assert io.hyper_text(t) == io.dumps(io.hyper_payload(t))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_text_writers_match_the_dict_writers_on_every_rep(n, m, chain3, square):
+    X, Y = _frame(n, m)
+    for rep in all_crisp_reps(X, Y):
+        assert io.crisp_rep_text(rep) == io.dumps(io.crisp_rep_payload(rep))
+    for lat in (chain3, chain(4), square):
+        tnorms = [None, meet_tnorm(lat)] + ([lukasiewicz(lat)] if lat.is_chain() else [])
+        for rf in _every_graded_rep(X, Y, lat):
+            _assert_graded_text_writers_match(rf, tnorms)
+
+
+# labels that JSON escapes or that are not ASCII: quotes, backslashes,
+# control characters, lone surrogates (a file can spell them as \u
+# escapes) and characters outside the basic plane
+_LABELS = st.text(
+    st.one_of(st.sampled_from('"\\\x00\n/é☃\U0001f600\ud800'),
+              st.characters(exclude_categories=())),
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=st.lists(_LABELS, min_size=4, max_size=6, unique=True),
+    elements=st.lists(_LABELS, min_size=4, max_size=4, unique=True),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 1000),
+    on_square=st.booleans(),
+)
+def test_text_writers_escape_labels_as_the_encoder_does(points, elements, n, seed, on_square):
+    X, Y = FiniteSpace(tuple(points[:n])), FiniteSpace(tuple(points[n:]))
+    lat = validate_lattice(elements, (boolean_square() if on_square else chain(4)).leq)
+    rep = random_rep(X, Y, seed, 0.4)
+    assert io.crisp_rep_text(rep) == io.dumps(io.crisp_rep_payload(rep))
+    rf = random_fuzzy_rep(X, Y, lat, seed, 0.5)
+    _assert_graded_text_writers_match(rf, [None, meet_tnorm(lat)])
+
+
+def test_cli_out_file_holds_the_stdout_bytes(tmp_path, capsys, x2, y2, square):
+    rep = tmp_path / "rep.json"
+    rep.write_text(io.dumps(io.fuzzy_rep_payload(random_fuzzy_rep(x2, y2, square, 3, 0.5))))
+    runs = [
+        ("sms", "--rep", str(rep)),
+        ("cut", "--rep", str(rep), "--alpha", square.elements[1]),
+        ("encode", "--rep", str(rep)),
+        ("gen", "--kind", "random", "--sizes", "3,2", "--seed", "5"),
+        ("validate", "--rep", str(rep)),
+    ]
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"out{i}.json"
+        code, text = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 0 and text
+        assert out.read_bytes() == text.encode()
+
+
+def test_cli_reads_utf8_files_under_the_c_locale(tmp_path):
+    lattice = tmp_path / "lattice.json"
+    lattice.write_bytes(
+        '{"elements":["0","é"],"leq":[[true,true],[false,true]],"tnorm":null}'.encode()
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "LC_ALL": "C", "PYTHONUTF8": "0"}
+    env.pop("PYTHONIOENCODING", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "ambrel.cli", "validate", "--lattice", str(lattice)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["elements"] == ["0", "é"]
 
 
 # -- one resolver per input: lattices, t-norms, representation files ---------------

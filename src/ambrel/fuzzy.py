@@ -283,16 +283,14 @@ def from_cuts(
         raise SpaceMismatch("cut family members live over different spaces")
     # the join of the indices whose cut holds a pair, as the union of
     # their down-set masks.  held[alpha, a - 1, b - 1]: the cut at alpha
-    # holds (a, b), the first target.full little-endian bits of its row
+    # holds (a, b)
     n = lattice.size
     rows = np.fromiter(
         chain.from_iterable(cut_family[alpha].rows for alpha in range(n)),
         dtype="<i8",
         count=n * source.full,
     )
-    held = np.unpackbits(
-        rows.view(np.uint8).reshape(n, -1, 8), axis=-1, count=target.full, bitorder="little"
-    )
+    held = _unpack(rows.reshape(n, source.full), target)
     g = lattice.from_down(np.bitwise_or.reduce(held * lattice.down[:, None, None], axis=0))
     rep = LFuzzyAmbRep(source, target, lattice, g)
     for alpha, cut in cut_family.items():

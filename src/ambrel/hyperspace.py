@@ -141,8 +141,16 @@ def _pack(held: np.ndarray, space: FiniteSpace) -> np.ndarray:
 
 
 def _unpack(families, space: FiniteSpace) -> np.ndarray:
-    """The boolean rows of family masks; inverse of :func:`_pack`."""
-    return np.asarray(families, dtype=np.int64)[..., None] & _bit_weights(space) != 0
+    """The boolean rows of family masks; inverse of :func:`_pack`.
+
+    Each mask is read as its eight little-endian bytes, and its first
+    ``space.full`` bits are the row.
+    """
+    masks = np.ascontiguousarray(families, "<i8")
+    bits = np.unpackbits(
+        masks.view(np.uint8).reshape(*masks.shape, 8), axis=-1, count=space.full, bitorder="little"
+    )
+    return bits.view(bool)
 
 
 @lru_cache(maxsize=None)

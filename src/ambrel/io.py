@@ -5,18 +5,17 @@ arrays sorted by mask; pair and grade lists sorted likewise.  Canonical
 output means running any operation twice over its own output is a
 fixpoint, and fixed seeds give byte-identical files.
 
-Each bulk kind has two writers: ``<kind>_payload`` builds the dict that
-other payloads embed, and ``<kind>_text`` returns the file text,
-``dumps(<kind>_payload(x))``, joined from canonical JSON fragments kept
-per space and per lattice, so only the small parts go through the
-encoder.
+Each bulk kind has one writer, ``<kind>_text``, which returns the file
+text joined from canonical JSON fragments kept per space and per
+lattice, so only the small parts go through the encoder.  The dict that
+other payloads embed, ``<kind>_payload``, is that text parsed back.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -35,6 +34,9 @@ from .lattice import FiniteLattice, TNormTable, validate_lattice, validate_tnorm
 # Canonical JSON: sorted keys, no blanks, ASCII only.  Every payload is a
 # tree that the writers build, so tracking cycles would be pure cost.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+# Reads the writers' own text back, without the hooks of loads: those
+# guard untrusted files and run Python code once per object.
+_parse = json.JSONDecoder().decode
 
 
 def space_payload(space: FiniteSpace) -> list[str]:
@@ -51,27 +53,23 @@ def subset_payload(space: FiniteSpace, mask: int) -> list[str]:
     return list(space.labels(mask))
 
 
-def subset_from(space: FiniteSpace, payload) -> int:
-    if not isinstance(payload, list):
-        raise MalformedInput("a subset is a list of point labels")
-    try:
-        return space.subset(payload)
-    except KeyError as e:
-        raise MalformedInput(str(e)) from None
-
-
 def _subset_reader(space: FiniteSpace):
-    """:func:`subset_from` for one space, through its mask table: labels
-    in point order are one lookup; anything else takes the checked path."""
+    """The mask of a subset's label list, for one space, through its mask
+    table: labels in point order are one lookup; anything else takes the
+    checked path."""
     table = _mask_table(space)
 
     def read(payload) -> int:
-        if isinstance(payload, list):
-            try:
-                return table[tuple(payload)]
-            except (KeyError, TypeError):
-                pass
-        return subset_from(space, payload)
+        if not isinstance(payload, list):
+            raise MalformedInput("a subset is a list of point labels")
+        try:
+            return table[tuple(payload)]
+        except (KeyError, TypeError):
+            pass
+        try:
+            return space.subset(payload)
+        except KeyError as e:
+            raise MalformedInput(str(e)) from None
 
     return read
 
@@ -159,16 +157,11 @@ def lattice_from(payload) -> tuple[FiniteLattice, TNormTable | None]:
 
 
 def crisp_rep_payload(rep: CrispAmbRep) -> dict:
-    src, tgt = _label_table(rep.source), _label_table(rep.target)
-    return {
-        "source": space_payload(rep.source),
-        "target": space_payload(rep.target),
-        "pairs": [[list(src[a]), list(tgt[b])] for a, b in rep.pairs()],
-    }
+    return _parse(crisp_rep_text(rep))
 
 
 def crisp_rep_text(rep: CrispAmbRep) -> str:
-    """``dumps(crisp_rep_payload(rep))``, joined from fragments."""
+    """The canonical file text of ``rep``, joined from fragments."""
     src, tgt = _subset_texts(rep.source), _subset_texts(rep.target)
     pairs = ",".join([f"[{src[a]},{tgt[b]}]" for a, b in rep.pairs()])
     return f'{{"pairs":[{pairs}],"source":{src[-1]},"target":{tgt[-1]}}}\n'
@@ -195,37 +188,21 @@ def crisp_rep_from(payload) -> CrispAmbRep:
 # -- graded representations ----------------------------------------------------------
 
 
-def _listed_grades(rep: LFuzzyAmbRep) -> Iterator[tuple[int, int, int]]:
-    """``(source mask, target mask, grade index)`` of every listed entry.
-
-    Unlisted are the defaults: bottom everywhere, top on the full target.
-    ``nonzero`` keeps the row-major order (source mask, then target mask).
-    """
-    listed = rep.grades != rep.lattice.bottom
-    listed[:, -1] = False
-    rows, cols = np.nonzero(listed)
-    grades = rep.grades[rows, cols].tolist()
-    return zip((rows + 1).tolist(), (cols + 1).tolist(), grades)
-
-
 def fuzzy_rep_payload(rep: LFuzzyAmbRep, tnorm: TNormTable | None = None) -> dict:
-    lat = rep.lattice
-    src, tgt = _label_table(rep.source), _label_table(rep.target)
-    return {
-        "source": space_payload(rep.source),
-        "target": space_payload(rep.target),
-        "lattice": lattice_payload(lat, tnorm),
-        "grades": [
-            [list(src[a]), list(tgt[b]), lat.elements[g]] for a, b, g in _listed_grades(rep)
-        ],
-    }
+    return _parse(fuzzy_rep_text(rep, tnorm))
 
 
 def fuzzy_rep_text(rep: LFuzzyAmbRep, tnorm: TNormTable | None = None) -> str:
-    """``dumps(fuzzy_rep_payload(rep, tnorm))``, joined from fragments."""
+    """The canonical file text of ``rep`` and its t-norm, joined from fragments."""
     src, tgt = _subset_texts(rep.source), _subset_texts(rep.target)
     names = _element_texts(rep.lattice)
-    grades = ",".join([f"[{src[a]},{tgt[b]},{names[g]}]" for a, b, g in _listed_grades(rep)])
+    # listed are all but the defaults: bottom everywhere, top on the full
+    # target; nonzero keeps the row-major order (source mask, then target)
+    listed = rep.grades != rep.lattice.bottom
+    listed[:, -1] = False
+    rows, cols = np.nonzero(listed)
+    entries = zip((rows + 1).tolist(), (cols + 1).tolist(), rep.grades[rows, cols].tolist())
+    grades = ",".join([f"[{src[a]},{tgt[b]},{names[g]}]" for a, b, g in entries])
     lattice = _ENCODER.encode(lattice_payload(rep.lattice, tnorm))
     return f'{{"grades":[{grades}],"lattice":{lattice},"source":{src[-1]},"target":{tgt[-1]}}}\n'
 
@@ -290,9 +267,10 @@ def capacity_from(payload) -> LCapacity:
         raise MalformedInput("a capacity needs 'space', 'lattice' and 'values'")
     sp = space_from(payload["space"])
     lat, _ = lattice_from(payload["lattice"])
+    read = _subset_reader(sp)
     try:
         entries = [
-            (subset_from(sp, labels), lat.index(g_label)) for labels, g_label in payload["values"]
+            (read(labels), lat.index(g_label)) for labels, g_label in payload["values"]
         ]
     except (TypeError, ValueError, KeyError) as e:
         raise MalformedInput(f"bad value list: {e}") from None
@@ -314,22 +292,11 @@ def capacity_from(payload) -> LCapacity:
 
 
 def hyper_payload(t: TernaryHyperRelation) -> dict:
-    lat = t.lattice
-    src, tgt = _label_table(t.source), _label_table(t.target)
-    triples = [
-        [[list(src[a]) for a in members(fam)], list(tgt[b]), lat.elements[alpha]]
-        for fam, b, alpha in t.triples()
-    ]
-    return {
-        "source": space_payload(t.source),
-        "target": space_payload(t.target),
-        "lattice": lattice_payload(lat),
-        "triples": triples,
-    }
+    return _parse(hyper_text(t))
 
 
 def hyper_text(t: TernaryHyperRelation) -> str:
-    """``dumps(hyper_payload(t))``, joined from fragments."""
+    """The canonical file text of ``t``, joined from fragments."""
     fams, src, tgt = _family_texts(t.source), _subset_texts(t.source), _subset_texts(t.target)
     names = _element_texts(t.lattice)
     triples = ",".join([f"[{fams[f]},{tgt[b]},{names[g]}]" for f, b, g in t.triples()])

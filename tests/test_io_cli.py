@@ -801,7 +801,7 @@ def test_cli_oversized_counts_are_refused_before_allocating(argv):
     }
 
 
-# -- text writers: the dict writers' bytes, joined from fragments ------------------
+# -- text writers: the per-subset loops' bytes, joined from fragments --------------
 
 
 def _every_graded_rep(X, Y, lat):
@@ -819,16 +819,16 @@ def _every_graded_rep(X, Y, lat):
 
 def _assert_graded_text_writers_match(rf, tnorms):
     for tn in tnorms:
-        assert io.fuzzy_rep_text(rf, tn) == io.dumps(io.fuzzy_rep_payload(rf, tn))
+        assert io.fuzzy_rep_text(rf, tn) == io.dumps(_fuzzy_payload_loop(rf, tn))
     t = encode(rf)
-    assert io.hyper_text(t) == io.dumps(io.hyper_payload(t))
+    assert io.hyper_text(t) == io.dumps(_hyper_payload_loop(t))
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_text_writers_match_the_dict_writers_on_every_rep(n, m, chain3, square):
     X, Y = _frame(n, m)
     for rep in all_crisp_reps(X, Y):
-        assert io.crisp_rep_text(rep) == io.dumps(io.crisp_rep_payload(rep))
+        assert io.crisp_rep_text(rep) == io.dumps(_crisp_payload_loop(rep))
     for lat in (chain3, chain(4), square):
         tnorms = [None, meet_tnorm(lat)] + ([lukasiewicz(lat)] if lat.is_chain() else [])
         for rf in _every_graded_rep(X, Y, lat):
@@ -857,9 +857,15 @@ def test_text_writers_escape_labels_as_the_encoder_does(points, elements, n, see
     X, Y = FiniteSpace(tuple(points[:n])), FiniteSpace(tuple(points[n:]))
     lat = validate_lattice(elements, (boolean_square() if on_square else chain(4)).leq)
     rep = random_rep(X, Y, seed, 0.4)
-    assert io.crisp_rep_text(rep) == io.dumps(io.crisp_rep_payload(rep))
+    assert io.crisp_rep_text(rep) == io.dumps(_crisp_payload_loop(rep))
     rf = random_fuzzy_rep(X, Y, lat, seed, 0.5)
-    _assert_graded_text_writers_match(rf, [None, meet_tnorm(lat)])
+    tn = meet_tnorm(lat)
+    _assert_graded_text_writers_match(rf, [None, tn])
+    # the dict writers are the text read back
+    t = encode(rf)
+    assert io.crisp_rep_payload(rep) == json.loads(io.crisp_rep_text(rep))
+    assert io.fuzzy_rep_payload(rf, tn) == json.loads(io.fuzzy_rep_text(rf, tn))
+    assert io.hyper_payload(t) == json.loads(io.hyper_text(t))
 
 
 def test_cli_out_file_holds_the_stdout_bytes(tmp_path, capsys, x2, y2, square):

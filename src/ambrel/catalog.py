@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .crisp import CrispAmbRep
-from .errors import ValidationError
-from .hyperspace import FiniteSpace, full_family, is_inclusion_hyperspace
+from .errors import SpaceTooLarge, ValidationError
+from .hyperspace import FiniteSpace, _subset_table, full_family
 from .lattice import FiniteLattice, TNormTable, _levels, validate_lattice
 
 
@@ -77,19 +77,34 @@ def lukasiewicz(chain_lattice: FiniteLattice) -> TNormTable:
 # -- enumerators -------------------------------------------------------------
 
 
+def _down_sets(below: Sequence[int]) -> list[int]:
+    """Every down-set of a finite order as a mask, each built once.
+    ``below[i]`` masks the elements strictly below ``i``, all listed
+    before ``i``, so whether a down-set may hold ``i`` is known by then."""
+    sets = [0]
+    for i, strict in enumerate(below):
+        sets += [d | 1 << i for d in sets if strict & ~d == 0]
+    return sets
+
+
 @lru_cache(maxsize=None)
 def all_inclusion_hyperspaces(space: FiniteSpace) -> tuple[int, ...]:
-    """Every upward-closed nonempty family over the space, as family masks."""
-    return tuple(
-        fam for fam in range(1, full_family(space) + 1) if is_inclusion_hyperspace(space, fam)
-    )
+    """Every upward-closed nonempty family over the space, as family masks,
+    ascending: the complements of the proper families closed under taking
+    subsets.  Gated at five points (7,579 families; six give 7,828,352)."""
+    if space.size > 5:
+        raise SpaceTooLarge("inclusion hyperspaces are enumerated up to 5 points")
+    strict_sub = [sub & ~(1 << s) for s, sub in enumerate(_subset_table(space))]
+    full = full_family(space)
+    return tuple(sorted(full ^ d for d in _down_sets(strict_sub) if d != full))
 
 
 def all_crisp_reps(source: FiniteSpace, target: FiniteSpace) -> Iterator[CrispAmbRep]:
     """Every valid representation: antitone maps from source subsets to
     inclusion hyperspaces over the target.
 
-    Exhaustive only at desk scale; the count grows doubly exponentially.
+    Exhaustive only at desk scale; the count grows doubly exponentially,
+    and targets above five points raise ``SpaceTooLarge``.
     """
     hyper = all_inclusion_hyperspaces(target)
     n_rows = source.full
@@ -136,86 +151,41 @@ def all_point_maps(source: FiniteSpace, target: FiniteSpace) -> Iterator[dict[st
 # -- all small distributive lattices ----------------------------------------
 
 
-def _all_posets(n: int) -> Iterator[tuple[tuple[bool, ...], ...]]:
-    """All labelled partial orders on n points, as reflexive leq matrices."""
-    idx_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for choice in product((0, 1, 2), repeat=len(idx_pairs)):
-        mat = [[i == j for j in range(n)] for i in range(n)]
-        for (i, j), c in zip(idx_pairs, choice):
-            if c == 1:
-                mat[i][j] = True
-            elif c == 2:
-                mat[j][i] = True
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                if not mat[i][j]:
-                    continue
-                for k in range(n):
-                    if mat[j][k] and not mat[i][k]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            yield tuple(tuple(row) for row in mat)
-
-
-def _downset_lattice(poset) -> tuple[tuple[bool, ...], ...] | None:
-    """The lattice of down-sets of a poset, as a leq (subset) matrix."""
-    n = len(poset)
-    downsets = []
-    for mask in range(1 << n):
-        good = True
-        for i in range(n):
-            if not mask >> i & 1:
-                continue
-            for j in range(n):
-                if poset[j][i] and not mask >> j & 1:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            downsets.append(mask)
-    m = len(downsets)
-    return tuple(
-        tuple(downsets[i] & ~downsets[j] == 0 for j in range(m)) for i in range(m)
+def _canonical(below: tuple[int, ...]) -> tuple[int, ...]:
+    """The least strict-order matrix of a poset over every relabelling of
+    its points, flattened: equal exactly for isomorphic posets."""
+    return min(
+        tuple(below[p] >> q & 1 for p in perm for q in perm)
+        for perm in permutations(range(len(below)))
     )
-
-
-def _canonical_leq(mat) -> bytes:
-    n = len(mat)
-    best = None
-    for perm in permutations(range(n)):
-        key = bytes(mat[perm[i]][perm[j]] for i in range(n) for j in range(n))
-        if best is None or key < best:
-            best = key
-    return best
 
 
 @lru_cache(maxsize=None)
 def all_distributive_lattices(max_size: int = 6) -> tuple[FiniteLattice, ...]:
     """Every finite distributive lattice with at most ``max_size`` elements,
-    one per isomorphism class.
+    one per isomorphism class, its elements ``e0..`` in down-set mask order.
 
-    Built as down-set lattices of all posets on up to ``max_size - 1``
-    points; by Birkhoff duality this is exhaustive.
+    By Birkhoff duality these are the down-set lattices of the posets, one
+    per isomorphism class.  Posets grow a point at a time, each new point
+    above a down-set of the earlier ones, until they have more than
+    ``max_size`` down-sets (``docs/properties.md``).
     """
     if max_size > 7:
         raise ValueError("enumeration supported up to size 7")
-    seen: dict[bytes, FiniteLattice] = {}
-    for n_pts in range(0, max_size):
-        for poset in _all_posets(n_pts):
-            leq = _downset_lattice(poset)
-            m = len(leq)
+    found: dict[tuple[int, ...], FiniteLattice] = {}
+    level: list[tuple[int, ...]] = [()]
+    while level:
+        grown = []
+        for below in level:
+            downs = sorted(_down_sets(below))
+            m = len(downs)
             if m > max_size:
                 continue
-            key = _canonical_leq(leq)
-            if key in seen:
+            key = _canonical(below)
+            if key in found:
                 continue
-            labels = [f"e{i}" for i in range(m)]
-            seen[key] = validate_lattice(labels, leq)
-    return tuple(seen.values())
+            leq = [[d & ~e == 0 for e in downs] for d in downs]
+            found[key] = validate_lattice([f"e{i}" for i in range(m)], leq)
+            grown += [below + (d,) for d in downs]
+        level = grown
+    return tuple(found.values())

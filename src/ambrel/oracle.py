@@ -31,7 +31,7 @@ from .errors import LatticeTooLarge, SpaceMismatch, ValidationError
 from .fuzzy import LFuzzyAmbRep
 from .generators import GridWindow, MetricTable
 from .hyperencoding import TernaryHyperRelation
-from .hyperspace import FiniteSpace
+from .hyperspace import FiniteSpace, full_family, is_inclusion_hyperspace
 from .lattice import MAX_LATTICE, FiniteLattice, TNormTable, meet_tnorm
 from .laws import (
     ASSERTED_FUZZY,
@@ -90,6 +90,14 @@ def double_traversal_oracle(space: FiniteSpace, family: int) -> int:
     for s in twice:
         out |= 1 << (s - 1)
     return out
+
+
+def inclusion_hyperspaces_by_filter(space: FiniteSpace) -> tuple[int, ...]:
+    """Twin of ``catalog.all_inclusion_hyperspaces``: every family mask
+    tested for being nonempty and upward closed, ascending."""
+    return tuple(
+        fam for fam in range(1, full_family(space) + 1) if is_inclusion_hyperspace(space, fam)
+    )
 
 
 def way_below_definitional(lat: FiniteLattice, a: int, b: int) -> bool:

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from ambrel import crisp, fuzzy, oracle
+from ambrel import catalog, crisp, fuzzy, oracle
 from ambrel.catalog import all_crisp_reps, all_inclusion_hyperspaces, all_partitions, chain
-from ambrel.errors import SpaceMismatch, ValidationError
+from ambrel.errors import SpaceMismatch, SpaceTooLarge, ValidationError
 from ambrel.generators import random_rep
 from ambrel.hyperspace import family_of, full_family, space
 from ambrel.lattice import meet_tnorm
@@ -226,6 +226,17 @@ def test_rough_unavoidability_equivalence():
 def test_enumeration_counts(x2, y2):
     assert len(all_inclusion_hyperspaces(y2)) == 4
     assert sum(1 for _ in all_crisp_reps(x2, y2)) == 25
+
+
+def test_enumeration_gate_at_five_target_points(x2, monkeypatch):
+    # six points would give 7,828,352 families: refused before any table
+    # is read, so a call through the unset table would raise TypeError
+    monkeypatch.setattr(catalog, "_subset_table", None)
+    six = _pts("y", 6)
+    with pytest.raises(SpaceTooLarge):
+        all_inclusion_hyperspaces(six)
+    with pytest.raises(SpaceTooLarge):
+        next(all_crisp_reps(x2, six))
 
 
 def _pts(prefix, n):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ambrel import cli, crisp, fuzzy, io
@@ -845,7 +845,12 @@ _LABELS = st.text(
 )
 
 
-@settings(max_examples=60, deadline=None)
+# no shrinking: a failing example reports at once, where shrinking one
+# through these label strategies can run for minutes
+@settings(
+    max_examples=60, deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+)
 @given(
     points=st.lists(_LABELS, min_size=4, max_size=6, unique=True),
     elements=st.lists(_LABELS, min_size=4, max_size=4, unique=True),

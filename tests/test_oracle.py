@@ -1,14 +1,18 @@
 import os
 import subprocess
 import sys
+from collections import Counter
+from itertools import permutations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ambrel import crisp, fuzzy
 from ambrel.catalog import (
     all_crisp_reps,
     all_distributive_lattices,
+    all_inclusion_hyperspaces,
     boolean_square,
     chain,
     lukasiewicz,
@@ -20,6 +24,7 @@ from ambrel.lattice import meet_tnorm, way_below
 from ambrel.oracle import (
     compose_subgraph,
     double_traversal_oracle,
+    inclusion_hyperspaces_by_filter,
     sms_definitional,
     way_below_definitional,
 )
@@ -105,10 +110,41 @@ def test_double_traversal_oracle_vs_upward_closure_nonempty():
         assert double_traversal_oracle(X, fam) == upward_closure(X, fam)
 
 
+def _isomorphic(a, b):
+    """Whether some relabelling of order matrix ``b`` gives order matrix
+    ``a``, tried over every permutation."""
+    if len(a) != len(b):
+        return False
+    perms = np.array(list(permutations(range(len(a)))))
+    return bool((b[perms[:, :, None], perms[:, None, :]] == a).all(axis=(1, 2)).any())
+
+
 def test_distributive_lattice_enumeration_found_shapes():
     sizes = sorted(lat.size for lat in all_distributive_lattices(5))
     # one shape each at sizes 1-3, two at 4 (chain, square), three at 5
     assert sizes == [1, 2, 3, 4, 4, 5, 5, 5]
+    # OEIS A006982: distributive lattices on 1..7 elements
+    lattices = all_distributive_lattices(7)
+    counts = Counter(lat.size for lat in lattices)
+    assert [counts[m] for m in range(1, 8)] == [1, 1, 1, 2, 3, 5, 8]
+    assert not any(
+        _isomorphic(a.leq, b.leq) for i, a in enumerate(lattices) for b in lattices[i + 1:]
+    )
+    # the check does find a relabelled copy
+    assert all(_isomorphic(lat.leq, lat.leq[::-1, ::-1]) for lat in lattices)
+
+
+def test_inclusion_hyperspace_enumeration_counts_and_twin():
+    spaces = [space(*(f"p{i}" for i in range(n))) for n in range(1, 6)]
+    # Dedekind numbers minus 2 (OEIS A000372): the empty family and the
+    # family holding the empty set are not inclusion hyperspaces
+    assert len(all_inclusion_hyperspaces(spaces[0])) == 1
+    assert len(all_inclusion_hyperspaces(spaces[1])) == 4
+    assert len(all_inclusion_hyperspaces(spaces[2])) == 18
+    assert len(all_inclusion_hyperspaces(spaces[3])) == 166
+    assert len(all_inclusion_hyperspaces(spaces[4])) == 7579
+    for X in spaces[:4]:
+        assert all_inclusion_hyperspaces(X) == inclusion_hyperspaces_by_filter(X)
 
 
 def test_import_ambrel_leaves_the_twins_unloaded():

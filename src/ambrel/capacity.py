@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, raise_first
 from .fuzzy import LFuzzyAmbRep
 from .hyperspace import FiniteSpace, _frozen, _superset_matrix
 from .lattice import FiniteLattice
@@ -87,12 +87,8 @@ def validate_capacity(space: FiniteSpace, lattice: FiniteLattice, values) -> LCa
     v = cap.values
     # a negative entry is a large one in the unsigned view
     if np.maximum.reduce(v.view(np.uintp)) >= lattice.size:
-        f = int(((v < 0) | (v >= lattice.size)).argmax())
-        raise ValidationError(
-            "BadValueTable",
-            f"values must be element indices 0..{lattice.size - 1}",
-            witness=[list(space.labels(f)), int(v[f])],
-        )
+        raise_first(("BadValueTable", f"values must be element indices 0..{lattice.size - 1}",
+                     (v < 0) | (v >= lattice.size), lambda f: [list(space.labels(f)), int(v[f])]))
     low, high = v.item(0), v.item(space.full)
     if low != lattice.bottom or high != lattice.top:
         raise ValidationError(
@@ -107,12 +103,8 @@ def validate_capacity(space: FiniteSpace, lattice: FiniteLattice, values) -> LCa
     small, large = _cover_steps(space)
     short = d[small] & ~d[large]
     if np.count_nonzero(short):
-        k = int(np.flatnonzero(short)[0])
-        raise ValidationError(
-            "NotMonotone",
-            "values must rise with the set",
-            witness=[list(space.labels(small[k] + 1)), list(space.labels(large[k] + 1))],
-        )
+        raise_first(("NotMonotone", "values must rise with the set", short,
+                     lambda k: [list(space.labels(m + 1)) for m in (small[k], large[k])]))
     return cap
 
 
@@ -208,38 +200,21 @@ def _raise_first_violation(
     """Raise the first subgraph condition the pair set ``listed`` violates,
     in the order and with the witness of
     :func:`ambrel.oracle.validate_subgraph_loops`."""
-    missing = ~held[:, lattice.bottom]
-    if missing.any():
-        f = int(missing.argmax()) + 1
-        raise ValidationError(
-            "MissingFloor",
-            "every nonempty set must appear at grade bottom",
-            witness=[list(space.labels(f)), lattice.elements[lattice.bottom]],
-        )
-    missing = ~held[space.full - 1]
-    if missing.any():
-        alpha = int(missing.argmax())
-        raise ValidationError(
-            "MissingFloor",
-            "the whole space must appear at every grade",
-            witness=[list(space.labels(space.full)), lattice.elements[alpha]],
-        )
-    leq, jt, supersets, gaps = lattice.leq, lattice.join_table, _superset_matrix(space), ~held
-    for f, alpha in listed:
-        # the first superset g of f, then grade beta below alpha, that is not held
-        missing = supersets[f - 1, :, None] & leq[:, alpha] & gaps
-        if missing.any():
-            g, beta = divmod(int(missing.argmax()), lattice.size)
-            raise ValidationError(
-                "NotDownSetInAlpha",
-                "subgraphs grow with the set and shrink with the grade",
-                witness=[
-                    list(space.labels(f)),
-                    lattice.elements[alpha],
-                    list(space.labels(g + 1)),
-                    lattice.elements[beta],
-                ],
-            )
+    elements = lattice.elements
+    raise_first(("MissingFloor", "every nonempty set must appear at grade bottom",
+                 ~held[:, lattice.bottom],
+                 lambda f: [list(space.labels(f + 1)), elements[lattice.bottom]]))
+    raise_first(("MissingFloor", "the whole space must appear at every grade",
+                 ~held[space.full - 1],
+                 lambda alpha: [list(space.labels(space.full)), elements[alpha]]))
+    # [k, g - 1, beta]: the k-th listed pair (f, alpha) has f <= g and
+    # beta <= alpha, and (g, beta) is not held
+    fs, alphas = np.array(listed).T
+    raise_first(("NotDownSetInAlpha", "subgraphs grow with the set and shrink with the grade",
+                 _superset_matrix(space)[fs - 1, :, None] & lattice.leq.T[alphas, None] & ~held,
+                 lambda k, g, beta: [list(space.labels(listed[k][0])), elements[listed[k][1]],
+                                     list(space.labels(g + 1)), elements[beta]]))
+    jt = lattice.join_table
     by_set = {f: set() for f in space.subsets()}
     for f, alpha in listed:
         by_set[f].add(alpha)
@@ -255,8 +230,8 @@ def _raise_first_violation(
                     "grades of a union must reach the join of the parts",
                     witness=[
                         list(space.labels(f)),
-                        lattice.elements[grades_f[i]],
+                        elements[grades_f[i]],
                         list(space.labels(g)),
-                        lattice.elements[grades_g[j]],
+                        elements[grades_g[j]],
                     ],
                 )

@@ -11,23 +11,25 @@ the source subset with mask ``A``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import SpaceMismatch, ValidationError
+from .errors import SpaceMismatch, ValidationError, raise_first
 from .hyperspace import (
     FiniteSpace,
     InclusionHyperspace,
     antichain,
     full_family,
-    is_upward_closed,
     members,
     traversal,
-    upward_closure,
+    _frozen,
+    _least_member,
     _meets_masks,
     _meets_table,
     _pack,
+    _shrink_index,
     _superset_table,
     _unpack,
 )
@@ -102,40 +104,55 @@ def validate(source: FiniteSpace, target: FiniteSpace, pairs: Iterable[tuple[int
 
 
 def validate_rows(source: FiniteSpace, target: FiniteSpace, rows) -> CrispAmbRep:
+    """:func:`validate` on stacked rows, ``rows[A - 1]`` the family of source
+    set ``A``; a row that is no family mask of the target is ``BadRow``.
+
+    Each check is one array over the rows as int64 family masks, and the
+    witness is the violation the loops of
+    :func:`ambrel.oracle.validate_rows_loops` meet first.
+    """
     rows = list(rows)
     if len(rows) != source.full:
         raise ValidationError("BadRowCount", f"need {source.full} rows, got {len(rows)}")
-    full_bit = 1 << (target.full - 1)
-    for a in source.subsets():
-        if not rows[a - 1] & full_bit:
-            raise ValidationError(
-                "MissingFullTarget",
-                "some source set does not admit the full target",
-                witness=list(source.labels(a)),
-            )
-        if not is_upward_closed(target, rows[a - 1]):
-            up = upward_closure(target, rows[a - 1])
-            missing = next(members(up & ~rows[a - 1]))
-            raise ValidationError(
-                "NotUpwardClosedInB",
-                "admissible families must contain all supersets",
-                witness=[list(source.labels(a)), list(target.labels(missing))],
-            )
-    for a in source.subsets():
-        for i in range(source.size):
-            smaller = a & ~(1 << i)
-            if smaller and rows[a - 1] & ~rows[smaller - 1]:
-                b = next(members(rows[a - 1] & ~rows[smaller - 1]))
-                raise ValidationError(
-                    "NotAntitoneInA",
-                    "a smaller source set must admit at least as much",
-                    witness=[
-                        list(source.labels(smaller)),
-                        list(source.labels(a)),
-                        list(target.labels(b)),
-                    ],
-                )
-    return CrispAmbRep(source, target, tuple(rows))
+    fam = full_family(target)
+    if min(rows) < 0 or max(rows) > fam:
+        wide = np.array(rows, dtype=object)  # Python ints of any size
+        raise_first(("BadRow", f"rows must be family masks 0..{fam}", (wide < 0) | (wide > fam),
+                     lambda a: [list(source.labels(a + 1)), rows[a]]))
+    held = np.array(rows, dtype=np.int64)
+    exact = held.tolist()
+    if exact != rows:  # the int64 view truncated a fractional row
+        raise ValidationError("BadRow", "rows must be integer family masks")
+    # gaps[a - 1, j]: the sets one point larger than a member of row a
+    # (bit s - 1 moved to bit (s | 1 << j) - 1) and missing from it; the
+    # least of them over all j is the least missing member of the upward
+    # closure (docs/properties.md)
+    lacking, shift = _one_point_steps(target)
+    gaps = (held[:, None] & lacking) << shift & ~held[:, None]
+    raise_first(
+        # the whole target is the top bit of a row
+        ("MissingFullTarget", "some source set does not admit the full target",
+         held <= fam >> 1, lambda a: list(source.labels(a + 1))),
+        ("NotUpwardClosedInB", "admissible families must contain all supersets", gaps,
+         lambda a, j: [list(source.labels(a + 1)),
+                       list(target.labels(_least_member(np.bitwise_or.reduce(gaps[a]))))]),
+    )
+    # lost[a - 1, i]: the members of row a missing from row a & ~(1 << i)
+    lost = held[:, None] & ~held[_shrink_index(source)]
+    raise_first(("NotAntitoneInA", "a smaller source set must admit at least as much", lost,
+                 lambda a, i: [list(source.labels((a + 1) & ~(1 << i))),
+                               list(source.labels(a + 1)),
+                               list(target.labels(_least_member(lost[a, i])))]))
+    return CrispAmbRep(source, target, tuple(exact))
+
+
+@lru_cache(maxsize=None)
+def _one_point_steps(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray]:
+    # (lacking[j], 1 << j): the family of the nonempty sets without point
+    # j, and the shift that moves each one's bit to that of s | 1 << j
+    points = 1 << np.arange(space.size)
+    lacking = full_family(space) & ~np.array(_superset_table(space))[points - 1]
+    return _frozen(lacking), _frozen(points)
 
 
 def from_seed(source: FiniteSpace, target: FiniteSpace, pairs: Iterable[tuple[int, int]]) -> CrispAmbRep:

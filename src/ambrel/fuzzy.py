@@ -18,9 +18,10 @@ import numpy as np
 
 from . import crisp
 from .crisp import CrispAmbRep
-from .errors import LatticeIsChain, SpaceMismatch, ValidationError
+from .errors import LatticeIsChain, SpaceMismatch, ValidationError, raise_first
 from .hyperspace import (
-    FiniteSpace, _frozen, _grow_index, _pack, _shrink_index, _superset_matrix, _unpack, full_family,
+    FiniteSpace, _frozen, _grow_index, _least_member, _pack, _shrink_index, _superset_matrix,
+    _unpack, full_family,
 )
 from .lattice import FiniteLattice, TNormTable, meet_tnorm
 
@@ -106,13 +107,10 @@ def validate(
     g = rep.grades
     # a negative index wraps to a large one in the unsigned view
     if np.maximum.reduce(g.view(np.uintp), axis=None) >= lattice.size:
-        outside = (g < 0) | (g >= lattice.size)
-        a, b = (int(k) + 1 for k in np.unravel_index(outside.argmax(), outside.shape))
-        raise ValidationError(
-            "BadGradeTable",
-            f"grades must be element indices 0..{lattice.size - 1}",
-            witness=[list(source.labels(a)), list(target.labels(b)), int(g[a - 1, b - 1])],
-        )
+        raise_first(("BadGradeTable", f"grades must be element indices 0..{lattice.size - 1}",
+                     (g < 0) | (g >= lattice.size),
+                     lambda a, b: [list(source.labels(a + 1)), list(target.labels(b + 1)),
+                                   int(g[a, b])]))
     return _checked(rep)
 
 
@@ -120,51 +118,27 @@ def _checked(rep: LFuzzyAmbRep) -> LFuzzyAmbRep:
     # the checks of validate on a table of element indices; from_cuts runs
     # them on the table it rebuilds
     source, target, lattice, g = rep.source, rep.target, rep.lattice, rep.grades
-    off_top = g[:, target.full - 1] != lattice.top
-    if off_top.any():
-        a = int(off_top.argmax()) + 1
-        raise ValidationError(
-            "FullTargetNotTop",
-            "the whole target must carry the top grade",
-            witness=[list(source.labels(a))],
-        )
-    # leq_at[x * |L| + y] = whether x <= y; one lookup into a flat index
+    raise_first(("FullTargetNotTop", "the whole target must carry the top grade",
+                 g[:, target.full - 1] != lattice.top, lambda a: [list(source.labels(a + 1))]))
+    # above[x * |L| + y] = whether x !<= y; one lookup into a flat index
     # array built in place costs less than a two-index one
-    leq_at, n = lattice.leq.reshape(-1), lattice.size
-    # rises[b - 1, j, a - 1]: grade (a, b) is below grade (a, b | 1 << j).
+    above, n = (~lattice.leq).reshape(-1), lattice.size
+    # [b - 1, j, a - 1]: grade (a, b) is not below grade (a, b | 1 << j).
     # A bit already in b compares an entry with itself, which reflexivity
     # passes, so the first violation is the loop-order (b, j, a) one.
     gt = g.T
-    steps = gt[_grow_index(target)[1:] - 1]
+    steps = gt[_grow_index(target)]
     steps += gt[:, None, :] * n
-    rises = leq_at[steps]
-    if not rises.all():
-        b, j, a = (int(k) for k in np.unravel_index(rises.argmin(), rises.shape))
-        raise ValidationError(
-            "NotIsotoneInB",
-            "grades must rise with the target set",
-            witness=[
-                list(source.labels(a + 1)),
-                list(target.labels(b + 1)),
-                list(target.labels((b + 1) | (1 << j))),
-            ],
-        )
-    # falls[a - 1, i, b - 1]: grade (a, b) is below grade (a & ~(1 << i), b);
+    raise_first(("NotIsotoneInB", "grades must rise with the target set", above[steps],
+                 lambda b, j, a: [list(source.labels(a + 1)), list(target.labels(b + 1)),
+                                  list(target.labels((b + 1) | (1 << j)))]))
+    # [a - 1, i, b - 1]: grade (a, b) is not below grade (a & ~(1 << i), b);
     # steps that leave a unchanged or empty compare an entry with itself
-    steps = g[_shrink_index(source)[1:] - 1]
+    steps = g[_shrink_index(source)]
     steps += g[:, None, :] * n
-    falls = leq_at[steps]
-    if not falls.all():
-        a, i, b = (int(k) for k in np.unravel_index(falls.argmin(), falls.shape))
-        raise ValidationError(
-            "NotAntitoneInA",
-            "grades must fall as the source set grows",
-            witness=[
-                list(source.labels((a + 1) & ~(1 << i))),
-                list(source.labels(a + 1)),
-                list(target.labels(b + 1)),
-            ],
-        )
+    raise_first(("NotAntitoneInA", "grades must fall as the source set grows", above[steps],
+                 lambda a, i, b: [list(source.labels((a + 1) & ~(1 << i))),
+                                  list(source.labels(a + 1)), list(target.labels(b + 1))]))
     return rep
 
 
@@ -301,7 +275,7 @@ def from_cuts(
             a, diff = next(
                 (a, r ^ s) for a, (r, s) in enumerate(zip(again.rows, cut.rows), 1) if r != s
             )
-            b = (diff & -diff).bit_length()
+            b = _least_member(diff)
             raise ValidationError(
                 "CutFamilyInconsistent",
                 "cut family is not reproduced by its own grades",

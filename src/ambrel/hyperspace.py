@@ -117,6 +117,12 @@ def members(family: int) -> Iterator[int]:
         s += 1
 
 
+def _least_member(family) -> int:
+    """The least subset mask in a nonempty family mask."""
+    family = int(family)
+    return (family & -family).bit_length()
+
+
 def full_family(space: FiniteSpace) -> int:
     """The family of all nonempty subsets."""
     return (1 << space.full) - 1
@@ -187,17 +193,19 @@ def _meets_table(space: FiniteSpace) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _grow_index(space: FiniteSpace) -> np.ndarray:
-    # _grow_index(X)[m, i] = m | (1 << i), for every mask m from 0 to X.full
-    masks = np.arange(space.full + 1)[:, None]
-    return _frozen(masks | (1 << np.arange(space.size)))
+    # _grow_index(X)[m - 1, i] = (m | (1 << i)) - 1, for every nonempty
+    # mask m: the row of m | 1 << i in a table over the nonempty subsets
+    masks = np.arange(1, space.full + 1)[:, None]
+    return _frozen((masks | (1 << np.arange(space.size))) - 1)
 
 
 @lru_cache(maxsize=None)
 def _shrink_index(space: FiniteSpace) -> np.ndarray:
-    # _shrink_index(X)[m, i] = m & ~(1 << i), or m itself where that is empty
-    masks = np.arange(space.full + 1)[:, None]
+    # _shrink_index(X)[m - 1, i] = (m & ~(1 << i)) - 1, or m - 1 where
+    # m & ~(1 << i) is empty, for every nonempty mask m
+    masks = np.arange(1, space.full + 1)[:, None]
     smaller = masks & ~(1 << np.arange(space.size))
-    return _frozen(np.where(smaller == 0, masks, smaller))
+    return _frozen(np.where(smaller == 0, masks, smaller) - 1)
 
 
 @lru_cache(maxsize=None)

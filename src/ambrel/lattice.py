@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, raise_first
 
 MAX_LATTICE = 16
 
@@ -177,25 +177,9 @@ def _square(matrix, n: int, what: str, entries: str) -> np.ndarray:
     return mat
 
 
-def _raise_first(labels: Sequence[str], *checks) -> None:
-    """Raise the violation that nested loops over the indices meet first.
-
-    ``checks`` are ``(code, message, mask)`` in the order the loops test
-    them, each mask true where its axiom fails.  The loops run row-major
-    over the axes all masks share and test every check there in turn; a
-    mask's further axes run innermost.  The witness is the labels at the
-    violating index.  Valid input costs one ``any`` per mask.
-    """
-    if not any(mask.any() for _, _, mask in checks):
-        return
-    lead = min(mask.ndim for _, _, mask in checks)
-    bad = np.logical_or.reduce(
-        [mask.reshape(mask.shape[:lead] + (-1,)).any(axis=-1) for _, _, mask in checks]
-    )
-    at = np.unravel_index(bad.argmax(), bad.shape)
-    code, message, mask = next(check for check in checks if check[2][at].any())
-    rest = np.unravel_index(mask[at].argmax(), mask[at].shape)
-    raise ValidationError(code, message, [labels[i] for i in (*at, *rest)])
+def _labelled(labels: Sequence[str]):
+    """The witness of a violating index tuple: the labels at its indices."""
+    return lambda *at: [labels[i] for i in at]
 
 
 def _least_upper(mat: np.ndarray) -> np.ndarray:
@@ -230,23 +214,23 @@ def validate_lattice(elements: Sequence[str], leq: Sequence[Sequence[bool]]) -> 
         raise ValidationError("LatticeTooLarge", f"at most {MAX_LATTICE} elements, got {n}")
     mat = _square(leq, n, "leq", "booleans")
 
-    _raise_first(elements, ("NotAPartialOrder", "leq not reflexive", ~mat.diagonal()))
-    _raise_first(
-        elements,
-        ("NotAPartialOrder", "leq not antisymmetric", mat & mat.T & ~np.eye(n, dtype=bool)),
-        ("NotAPartialOrder", "leq not transitive", mat[:, :, None] & mat & ~mat[:, None]),
+    named = _labelled(elements)
+    raise_first(("NotAPartialOrder", "leq not reflexive", ~mat.diagonal(), named))
+    raise_first(
+        ("NotAPartialOrder", "leq not antisymmetric", mat & mat.T & ~np.eye(n, dtype=bool), named),
+        ("NotAPartialOrder", "leq not transitive", mat[:, :, None] & mat & ~mat[:, None], named),
     )
     least, greatest = _least_upper(mat), _least_upper(mat.T)
-    _raise_first(
-        elements,
-        ("MissingBound", "pair has no unique least upper bound", least.sum(axis=2) != 1),
-        ("MissingBound", "pair has no unique greatest lower bound", greatest.sum(axis=2) != 1),
+    no_join, no_meet = least.sum(axis=2) != 1, greatest.sum(axis=2) != 1
+    raise_first(
+        ("MissingBound", "pair has no unique least upper bound", no_join, named),
+        ("MissingBound", "pair has no unique greatest lower bound", no_meet, named),
     )
     join_table, meet_table = least.argmax(axis=2), greatest.argmax(axis=2)
     # meet(a, join(b, c)) against join(meet(a, b), meet(a, c))
     lhs = meet_table[np.arange(n)[:, None, None], join_table]
     rhs = join_table[meet_table[:, :, None], meet_table[:, None, :]]
-    _raise_first(elements, ("NotDistributive", "meet does not distribute over join", lhs != rhs))
+    raise_first(("NotDistributive", "meet does not distribute over join", lhs != rhs, named))
 
     # join-irreducible: exactly one lower cover (bottom has none).
     # covers[y, x]: y < x with nothing strictly between them
@@ -315,16 +299,15 @@ def validate_tnorm(lat: FiniteLattice, table, name: str = "tnorm") -> TNormTable
 
     a, jt = np.arange(n)[:, None, None], lat.join_table
     ab, ac = tab[:, :, None], tab[:, None, :]  # a*b and a*c at [a, b, c]
-    _raise_first(
-        lat.elements,
-        ("NotCommutative", "a*b != b*a", tab != tab.T),
-        ("NotAssociative", "(a*b)*c != a*(b*c)", tab[tab] != tab[a, tab]),
+    named = _labelled(lat.elements)
+    raise_first(
+        ("NotCommutative", "a*b != b*a", tab != tab.T, named),
+        ("NotAssociative", "(a*b)*c != a*(b*c)", tab[tab] != tab[a, tab], named),
     )
-    _raise_first(lat.elements, ("TopNotNeutral", "a*1 != a", tab[:, lat.top] != np.arange(n)))
-    _raise_first(
-        lat.elements,
-        ("NotMonotone", "b<=c but a*b !<= a*c", lat.leq & ~lat.leq[ab, ac]),
-        ("NotJoinDistributive", "a*(b|c) != (a*b)|(a*c)", tab[a, jt] != jt[ab, ac]),
+    raise_first(("TopNotNeutral", "a*1 != a", tab[:, lat.top] != np.arange(n), named))
+    raise_first(
+        ("NotMonotone", "b<=c but a*b !<= a*c", lat.leq & ~lat.leq[ab, ac], named),
+        ("NotJoinDistributive", "a*(b|c) != (a*b)|(a*c)", tab[a, jt] != jt[ab, ac], named),
     )
     out = TNormTable(lat, tab, name)
     out.table.setflags(write=False)

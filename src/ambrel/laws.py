@@ -294,14 +294,14 @@ class _Pool(NamedTuple):
     """Every representation between two spaces, in ``all_crisp_reps``
     order, with its rows stacked into one read-only int64 array of shape
     ``(N, source.full)``.  A representation's key packs its rows into one
-    int64, ``rows[k] << k * target.full``; the keys are kept sorted, with
-    the pool index of each."""
+    int64, row 0 in the most significant bits; the keys of the pool
+    ascend, since ``all_crisp_reps`` lists the representations in
+    lexicographic order of their rows."""
 
     reps: tuple[CrispAmbRep, ...]
     rows: np.ndarray
     shifts: np.ndarray  # the bit offset of each row in a key
-    keys: np.ndarray  # ascending
-    order: np.ndarray  # order[i]: the pool index of keys[i]
+    keys: np.ndarray  # keys[i]: the key of reps[i]
 
     def index(self, rows: np.ndarray) -> np.ndarray:
         """The pool indices of stacked rows, over their leading axes;
@@ -310,7 +310,7 @@ class _Pool(NamedTuple):
         at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         if not np.array_equal(self.keys[at], keys):
             raise KeyError("rows outside the pool of their spaces")
-        return self.order[at]
+        return at
 
 
 # pools under the two-point gate hold at most 25 representations; the
@@ -319,10 +319,8 @@ class _Pool(NamedTuple):
 def _pool(source: FiniteSpace, target: FiniteSpace) -> _Pool:
     reps = tuple(all_crisp_reps(source, target))
     rows = _frozen(np.array([rep.rows for rep in reps], dtype=np.int64))
-    shifts = _frozen(np.arange(source.full, dtype=np.int64) * target.full)
-    keys = np.bitwise_or.reduce(rows << shifts, axis=-1)
-    order = _frozen(np.argsort(keys))
-    return _Pool(reps, rows, shifts, _frozen(keys[order]), order)
+    shifts = _frozen(np.arange(source.full - 1, -1, -1, dtype=np.int64) * target.full)
+    return _Pool(reps, rows, shifts, _frozen(np.bitwise_or.reduce(rows << shifts, axis=-1)))
 
 
 class _Tables:

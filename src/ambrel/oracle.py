@@ -31,7 +31,9 @@ from .errors import LatticeTooLarge, SpaceMismatch, ValidationError
 from .fuzzy import LFuzzyAmbRep
 from .generators import GridWindow, MetricTable
 from .hyperencoding import TernaryHyperRelation
-from .hyperspace import FiniteSpace, full_family, is_inclusion_hyperspace
+from .hyperspace import (
+    FiniteSpace, full_family, is_inclusion_hyperspace, is_upward_closed, members, upward_closure,
+)
 from .lattice import MAX_LATTICE, FiniteLattice, TNormTable, meet_tnorm
 from .laws import (
     ASSERTED_FUZZY,
@@ -48,6 +50,56 @@ from .laws import (
 
 def _nonempty_subsets(n: int):
     return range(1, (1 << n))
+
+
+def validate_rows_loops(source: FiniteSpace, target: FiniteSpace, rows) -> CrispAmbRep:
+    """``crisp.validate_rows`` by loops over source sets, family members
+    and points, raising at the first violation in loop order."""
+    rows = list(rows)
+    if len(rows) != source.full:
+        raise ValidationError("BadRowCount", f"need {source.full} rows, got {len(rows)}")
+    fam = full_family(target)
+    for a in source.subsets():
+        if not 0 <= rows[a - 1] <= fam:
+            raise ValidationError(
+                "BadRow",
+                f"rows must be family masks 0..{fam}",
+                witness=[list(source.labels(a)), rows[a - 1]],
+            )
+    if [int(row) for row in rows] != rows:
+        raise ValidationError("BadRow", "rows must be integer family masks")
+    rows = [int(row) for row in rows]
+    full_bit = 1 << (target.full - 1)
+    for a in source.subsets():
+        if not rows[a - 1] & full_bit:
+            raise ValidationError(
+                "MissingFullTarget",
+                "some source set does not admit the full target",
+                witness=list(source.labels(a)),
+            )
+        if not is_upward_closed(target, rows[a - 1]):
+            up = upward_closure(target, rows[a - 1])
+            missing = next(members(up & ~rows[a - 1]))
+            raise ValidationError(
+                "NotUpwardClosedInB",
+                "admissible families must contain all supersets",
+                witness=[list(source.labels(a)), list(target.labels(missing))],
+            )
+    for a in source.subsets():
+        for i in range(source.size):
+            smaller = a & ~(1 << i)
+            if smaller and rows[a - 1] & ~rows[smaller - 1]:
+                b = next(members(rows[a - 1] & ~rows[smaller - 1]))
+                raise ValidationError(
+                    "NotAntitoneInA",
+                    "a smaller source set must admit at least as much",
+                    witness=[
+                        list(source.labels(smaller)),
+                        list(source.labels(a)),
+                        list(target.labels(b)),
+                    ],
+                )
+    return CrispAmbRep(source, target, tuple(rows))
 
 
 def sms_definitional(rep: CrispAmbRep) -> CrispAmbRep:

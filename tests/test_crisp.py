@@ -37,7 +37,8 @@ def test_validate_rejects_antitone_break(x2, y2):
     pairs = list(crisp.bot(x2, y2).pairs()) + [(3, 1)]
     with pytest.raises(ValidationError) as err:
         crisp.validate(x2, y2, pairs)
-    assert err.value.code in ("NotAntitoneInA", "NotUpwardClosedInB")
+    assert err.value.code == "NotAntitoneInA"
+    assert err.value.witness == [["x2"], ["x1", "x2"], ["y1"]]
 
 
 def test_validate_rejects_upward_gap(x3, y3):
@@ -46,6 +47,70 @@ def test_validate_rejects_upward_gap(x3, y3):
     with pytest.raises(ValidationError) as err:
         crisp.validate_rows(x3, y3, rows)
     assert err.value.code == "NotUpwardClosedInB"
+
+
+def test_validate_rows_rejects_rows_outside_the_family_range():
+    # each is a report naming the first offending source set, not an
+    # IndexError from the closure or an OverflowError from the int64 view
+    x2, y2 = space("x1", "x2"), space("y1", "y2")
+    top = full_family(y2)
+    for bad in (-1, top + 1, 1 << 63, 1 << 70):
+        with pytest.raises(ValidationError) as err:
+            crisp.validate_rows(x2, y2, [top, bad, bad])
+        assert err.value.code == "BadRow"
+        assert err.value.witness == [["x2"], bad]
+    with pytest.raises(ValidationError) as err:
+        crisp.validate_rows(space("x1"), y2, [0b1111])
+    assert (err.value.code, err.value.witness) == ("BadRow", [["x1"], 0b1111])
+    # a fractional row is refused, not truncated by the int64 view
+    with pytest.raises(ValidationError) as err:
+        crisp.validate_rows(x2, y2, [top, 2.5, top])
+    assert err.value.code == "BadRow"
+    assert crisp.validate_rows(x2, y2, [float(top)] * 3).rows == (top,) * 3
+
+
+def _corrupted_rows(rng, source, target):
+    """The rows of a random representation, with one to three bits
+    flipped, a row's whole-target bit cleared, or one row out of range or
+    fractional."""
+    pairs = [
+        (rng.randint(1, source.full), rng.randint(1, target.full))
+        for _ in range(rng.randint(0, 3))
+    ]
+    rows = list(crisp.from_seed(source, target, pairs).rows)
+    mode = rng.randrange(8)
+    if mode == 0:
+        rows[rng.randrange(source.full)] &= ~(1 << (target.full - 1))
+    elif mode == 1:
+        rows[rng.randrange(source.full)] = rng.choice((-1, full_family(target) + 1, 1 << 63, 0.5))
+    elif mode < 7:
+        for _ in range(rng.randint(1, 3)):
+            rows[rng.randrange(source.full)] ^= 1 << rng.randrange(target.full)
+    return rows
+
+
+def _rows_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError as err:
+        return err.code, err.witness, str(err)
+
+
+def test_validate_rows_matches_loops():
+    # 20,000 row sets over every shape of 1-4 points, and a sample at 5-6
+    codes = set()
+    shapes = [(n, m, 1250) for n in range(1, 5) for m in range(1, 5)]
+    shapes += [(5, 5, 40), (5, 6, 40), (6, 5, 40), (6, 6, 40), (6, 2, 40), (2, 6, 40)]
+    for n, m, count in shapes:
+        X = space(*(f"x{i}" for i in range(1, n + 1)))
+        Y = space(*(f"y{i}" for i in range(1, m + 1)))
+        rng = random.Random(f"rows-{n}-{m}")
+        for _ in range(count):
+            rows = _corrupted_rows(rng, X, Y)
+            got = _rows_outcome(crisp.validate_rows, X, Y, rows)
+            assert got == _rows_outcome(oracle.validate_rows_loops, X, Y, rows)
+            codes.add(got[0] if isinstance(got, tuple) else "valid")
+    assert codes == {"BadRow", "MissingFullTarget", "NotUpwardClosedInB", "NotAntitoneInA", "valid"}
 
 
 def test_from_seed_examples(x2, y2, R0):
